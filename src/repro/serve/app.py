@@ -10,7 +10,8 @@ One :class:`Server` composes the whole subsystem:
   quotas, fair-share draining);
 - the :class:`~repro.serve.executor.JobExecutor`, which fans each claimed
   job out through :mod:`repro.eval.parallel` in a small worker-thread
-  pool, coalescing duplicate in-flight sweeps;
+  pool (whose process-wide point single-flight computes a point shared
+  by concurrent jobs once);
 - a **watchdog task** that enforces job leases (a crashed or wedged
   worker's job is requeued with backoff, then failed typed once its
   retry budget is spent) and ages terminal job history out of the store;
@@ -36,6 +37,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.eval.cache import EvalCache
+from repro.eval.parallel import inflight_points
 from repro.machine.metrics import MetricsBus
 from repro.serve.executor import JobExecutor
 from repro.serve.http import Responder, read_request
@@ -81,8 +83,6 @@ class Server:
         self.cache = None if no_cache else EvalCache(store=self.store)
         self.executor = JobExecutor(self.cache, jobs=jobs, timeout=timeout,
                                     heartbeat=self.queue.heartbeat,
-                                    job_alive=self.queue.job_alive,
-                                    store_metrics=self.bus.cache,
                                     serve_metrics=self.bus.serve,
                                     eval_metrics=self.bus.eval)
         self.max_concurrent_jobs = max_concurrent_jobs
@@ -358,7 +358,7 @@ class Server:
             "queue": self.queue.counts(),
             "tenants": self.queue.tenant_usage(),
             "conservation_ok": self.queue.conservation_ok(),
-            "inflight_sweeps": self.executor.coalescer.inflight(),
+            "inflight_points": inflight_points(),
             "cache": {
                 "hits": cache.hits, "misses": cache.misses,
                 "stores": cache.stores, "evictions": cache.evictions,
@@ -370,7 +370,7 @@ class Server:
                 **{name: self.bus.serve.get(name)
                    for name in ("submitted", "started", "completed",
                                 "cancelled", "rejected", "failed",
-                                "replayed", "coalesced_sweeps", "points",
+                                "replayed", "points",
                                 "stream_stalls", "lease_renewals",
                                 "lease_expired", "lease_requeued",
                                 "lease_failed", "lease_zombie", "shed",

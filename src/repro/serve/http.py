@@ -51,10 +51,14 @@ class Request:
     body: bytes = b""
 
     def json(self) -> object:
-        """Decode the body as JSON, as a typed error on failure."""
+        """Decode the body as JSON, as a typed error on failure.
+
+        ``RecursionError`` is a decode failure too: a deeply nested body
+        overflows the decoder's recursion limit.
+        """
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"request body is not valid JSON: {exc}",
                                 code="bad-json") from None
 

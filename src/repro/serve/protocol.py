@@ -2,10 +2,9 @@
 
 Everything that crosses the socket is JSON. A *job spec* is what a client
 POSTs to ``/jobs``; this module validates it into a frozen
-:class:`JobSpec` whose :meth:`JobSpec.sweep_key` identifies the
-*computation* (workloads × machine configuration), deliberately excluding
-tenant and priority so two tenants submitting the same sweep coalesce
-onto one execution.
+:class:`JobSpec`. Tenant and priority say *who* is asking; they never
+reach the evaluation, so two tenants asking for the same point share one
+computation (the harness dedups points by the eval cache key).
 
 Errors the server must reject are :class:`ServeError` instances carrying
 a stable machine-readable ``code`` and the HTTP status the front-end maps
@@ -24,7 +23,6 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.store import stable_hash
 
 #: Bump when the persisted job layout or the event schema changes.
 #: v2: job records grew lease fields (owner, attempts, next_eligible_at,
@@ -119,16 +117,6 @@ class JobSpec:
     sanitize: bool = False
     tenant: str = "default"
     priority: int = 0
-
-    def sweep_key(self) -> str:
-        """Identity of the computation, for in-flight sweep coalescing.
-
-        Excludes tenant and priority: identical sweeps from different
-        tenants are the same work and must compute once.
-        """
-        return stable_hash("serve-sweep", PROTOCOL_VERSION, self.workloads,
-                           self.lanes, self.policy, self.seed, self.verify,
-                           self.sanitize)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "workloads": list(self.workloads),

@@ -332,9 +332,9 @@ class JobQueue:
     def job_alive(self, job_id: str, owner: Optional[str]) -> bool:
         """Is this claim incarnation still the live owner of the job?
 
-        The coalescer's followers poll this about their leader: once the
-        leader's process dies (its lease expires, or the job is requeued
-        under a new owner) this flips False and a follower takes over.
+        False once the claim's lease expired or the job was requeued
+        under a new owner — the check that tells a live worker from a
+        zombie whose results will be discarded.
         """
         with self._lock:
             job = self._jobs.get(job_id)

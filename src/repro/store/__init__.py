@@ -18,8 +18,9 @@ tomorrow) read and write one store safely:
   under budget. Reads refresh an entry's mtime, so warm entries survive.
 - :class:`Coalescer` — in-process request coalescing: concurrent callers
   computing the same key share one in-flight computation instead of
-  duplicating it (used by :mod:`repro.eval.parallel`; the building block
-  for the sweep server).
+  duplicating it (the process-wide point single-flight of
+  :mod:`repro.eval.parallel`, which every sweep and every served job
+  goes through, and the structure cache's recoveries).
 - metrics — every operation lands on a ``cache.*`` counter sink (hits,
   misses, stores, evictions, coalesced, corrupt, lock_waits). Any object
   with ``add(name, amount)`` works; :class:`repro.machine.metrics

@@ -12,13 +12,12 @@ What must hold (see docs/serving.md):
   tenants are unaffected;
 - **restart recovery**: queued jobs persisted in the ``jobs`` store
   namespace are replayed by a fresh server;
-- **coalescing**: duplicate in-flight sweeps — even from different
-  tenants — compute once, proven by the ``cache.coalesced`` metric;
+- **point-level coalescing**: a point in flight in one job — of any
+  tenant — is computed once and streamed to every other job that asks
+  for it, whether the sweeps are identical or only overlap;
 - **overload control**: past the global or per-tenant queue-depth cap,
   submissions shed with a typed 503 carrying ``Retry-After``; the books
   still balance;
-- **follower takeover**: a coalesced follower bounds its wait on the
-  leader and retries as leader once the leader is declared dead;
 - **jobs CLI**: ``repro jobs list|gc`` reads the persisted ``jobs``
   namespace directly, with live records shielded from GC;
 - **conservation**: random submit/claim/cancel/finish interleavings never
@@ -30,6 +29,7 @@ Every server here binds port 0 on localhost and runs in a background
 thread; clients are plain ``http.client`` over the NDJSON protocol.
 """
 
+import asyncio
 import http.client
 import json
 import threading
@@ -37,13 +37,14 @@ import time
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.config import default_delta_config
 from repro.eval.parallel import run_suite_parallel
 from repro.serve import JobQueue, JobSpec, QuotaExceeded, Server
-from repro.serve.protocol import parse_job_spec
+from repro.serve.http import read_request
+from repro.serve.protocol import ServeError, parse_job_spec
 from repro.serve.queue import CANCELLED, COMPLETED, FAILED, RUNNING
 from repro.workloads import get_workload
 
@@ -302,79 +303,6 @@ class TestOverloadShedding:
             assert health["conservation_ok"] is True
 
 
-class TestFollowerTakeover:
-    """A coalesced follower must not wait forever on a dead leader."""
-
-    def test_follower_takes_over_an_abandoned_leader(self):
-        from repro.store import Coalescer
-
-        coalescer = Coalescer()
-        leader_started = threading.Event()
-        leader_release = threading.Event()
-
-        def wedged_leader():
-            leader_started.set()
-            leader_release.wait(30)
-            return "leader"
-
-        leader = threading.Thread(
-            target=lambda: coalescer.run("key", wedged_leader),
-            daemon=True)
-        leader.start()
-        assert leader_started.wait(10)
-
-        polls = []
-
-        def abandoned():
-            polls.append(1)
-            # First two polls: leader still looks alive; third: declared
-            # dead (in the server this is queue.job_alive going False
-            # once the leader's lease expires).
-            return len(polls) >= 3
-
-        result = coalescer.run("key", lambda: "follower",
-                               poll_s=0.01, abandoned=abandoned)
-        assert result == "follower"
-        assert len(polls) == 3
-        leader_release.set()
-        leader.join(10)
-
-    def test_follower_still_waits_on_a_live_leader(self):
-        from repro.store import Coalescer
-
-        coalescer = Coalescer()
-        leader_started = threading.Event()
-        leader_release = threading.Event()
-        results = {}
-
-        def slow_leader():
-            leader_started.set()
-            assert leader_release.wait(30)
-            return "leader"
-
-        leader = threading.Thread(
-            target=lambda: results.update(
-                leader=coalescer.run("key", slow_leader)),
-            daemon=True)
-        leader.start()
-        assert leader_started.wait(10)
-
-        def follower():
-            results["follower"] = coalescer.run(
-                "key", lambda: "follower",
-                poll_s=0.01, abandoned=lambda: False)
-
-        follower_thread = threading.Thread(target=follower, daemon=True)
-        follower_thread.start()
-        time.sleep(0.1)  # let the follower poll a few times
-        leader_release.set()
-        leader.join(10)
-        follower_thread.join(10)
-        # The leader stayed alive, so the follower replays its result
-        # instead of recomputing.
-        assert results == {"leader": "leader", "follower": "leader"}
-
-
 class TestJobsCli:
     """``repro jobs`` inspects/GCs the jobs namespace with no server."""
 
@@ -452,7 +380,7 @@ class TestCancellation:
             assert health["queue"]["queued"] == 0
             assert health["queue"]["cancelled"] == 1
             assert health["conservation_ok"] is True
-            assert health["inflight_sweeps"] == 0
+            assert health["inflight_points"] == 0
 
             # The pool is clean: the next job runs to completion.
             follow_up = submit(port, sweep_spec(seed=7))
@@ -505,8 +433,8 @@ class TestMultiClientSoak:
             results: dict = {}
 
             def client(tenant: str) -> None:
-                # Identical sweep from every tenant: the sweep_key
-                # excludes tenant, so these must coalesce onto one run.
+                # Identical sweep from every tenant: the point key has no
+                # tenant in it, so every point must compute once.
                 job_id = submit(port, sweep_spec(tenant=tenant))
                 results[tenant] = stream(port, job_id)
 
@@ -528,14 +456,46 @@ class TestMultiClientSoak:
                 if "ok" in outcomes:
                     computed += sum(1 for e in points
                                     if e["outcome"] == "ok")
-            # Exactly one client was the leader; its points computed,
-            # every other client replayed them.
+            # Exactly one compute per distinct point key; every other
+            # client shared it in flight or read it from the cache.
             assert computed == len(NAMES)
 
             health = request(port, "GET", "/healthz")[1]
-            assert health["serve"]["coalesced_sweeps"] == clients - 1
             assert health["cache"]["coalesced"] >= clients - 1
             assert health["queue"]["completed"] == clients
+            assert health["conservation_ok"] is True
+
+    def test_overlapping_sweeps_compute_shared_points_once(
+            self, tmp_path, monkeypatch):
+        """Two tenants' sweeps share two of three points: each shared
+        point computes once, so 4 distinct keys cost 4 computes, not 6."""
+        slow_points(monkeypatch, delay_s=0.5)
+        shared = NAMES
+        sweeps = {"t0": shared + ["micro-shared"],
+                  "t1": shared + ["micro-uniform"]}
+        with serving(tmp_path, max_concurrent_jobs=2) as server:
+            port = server.port
+            jobs = {tenant: submit(port, sweep_spec(tenant=tenant,
+                                                    workloads=names))
+                    for tenant, names in sweeps.items()}
+            streams = {tenant: stream(port, job_id)
+                       for tenant, job_id in jobs.items()}
+
+            computed = 0
+            numbers: dict = {}
+            for tenant, events in streams.items():
+                assert events[-1]["state"] == "completed"
+                points = [e for e in events if e["event"] == "point"]
+                assert sorted(e["index"] for e in points) == [0, 1, 2]
+                computed += sum(1 for e in points if e["outcome"] == "ok")
+                for event in points:
+                    assert "delta_cycles" in event, event
+                    cycles = numbers.setdefault(event["workload"],
+                                                event["delta_cycles"])
+                    assert cycles == event["delta_cycles"]
+            assert computed == 4, "a shared point was computed twice"
+            health = request(port, "GET", "/healthz")[1]
+            assert health["inflight_points"] == 0
             assert health["conservation_ok"] is True
 
 
@@ -589,13 +549,6 @@ def test_random_interleavings_conserve_jobs(steps):
 
 
 class TestSpecParsing:
-    def test_sweep_key_ignores_tenant_and_priority(self):
-        base = parse_job_spec(sweep_spec())
-        other = parse_job_spec(sweep_spec(tenant="else", priority=9))
-        assert base.sweep_key() == other.sweep_key()
-        assert parse_job_spec(sweep_spec(seed=1)).sweep_key() != \
-            base.sweep_key()
-
     def test_compare_kind_is_one_workload(self):
         spec = parse_job_spec({"kind": "compare", "workload": NAMES[0]})
         assert spec.workloads == (NAMES[0],)
@@ -605,3 +558,62 @@ class TestSpecParsing:
 
         with pytest.raises(SpecError):
             parse_job_spec(sweep_spec(lanes=True))
+
+
+# -- the wire front-end under byte-level fuzzing ----------------------------
+
+def _front_end(raw: bytes):
+    """What ``POST /jobs`` does with ``raw`` before touching the queue:
+    parse the HTTP request, decode its JSON body, validate the spec."""
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await read_request(reader)
+
+    request = asyncio.run(read())
+    return None if request is None else parse_job_spec(request.json())
+
+
+def _post(body: bytes, length=None) -> bytes:
+    length = len(body) if length is None else length
+    return (b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + str(length).encode() + b"\r\n\r\n" + body)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12) | st.sampled_from(NAMES + ["work-aware"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+_SPEC_FIELDS = ["kind", "workload", "workloads", "lanes", "policy", "seed",
+                "verify", "sanitize", "tenant", "priority"]
+_SPECS = st.dictionaries(st.sampled_from(_SPEC_FIELDS), _JSON, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=120).map(_post),
+    st.tuples(st.binary(max_size=40), st.integers(-5, 1 << 21)).map(
+        lambda case: _post(*case)),
+    st.one_of(_JSON, _SPECS).map(
+        lambda value: _post(json.dumps(value).encode())),
+))
+# Regression: a deeply nested JSON body overflowed the decoder's
+# recursion limit and escaped as an untyped RecursionError (HTTP 500).
+@example(_post(b"[" * 100_000))
+@example(_post(b'{"workloads": ' + b"[" * 50_000 + b"]" * 50_000 + b"}"))
+def test_front_end_bytes_end_typed(raw):
+    """Any byte string ends as a typed 4xx :class:`ServeError`, a clean
+    close (``None``), or a valid :class:`JobSpec` — never an untyped
+    exception the server would have to answer with a 500."""
+    try:
+        spec = _front_end(raw)
+    except ServeError as exc:
+        assert 400 <= exc.status < 500, exc
+        return
+    if spec is not None:
+        assert isinstance(spec, JobSpec)
+        assert spec.workloads and spec.lanes > 0
