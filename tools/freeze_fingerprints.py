@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Regenerate ``tests/golden_fingerprints.json``.
 
-Recomputes the comparison fingerprint of every point in the frozen matrix
-(the full workload registry × lane counts — the same enumeration
+Recomputes the fingerprint of every point in the frozen matrix (the
+workload registry × lane counts × fault-plan and policy variants, plus
+the seeded random programs — the same enumeration
 ``tests/test_golden_fingerprints.py`` checks against) and rewrites the
 golden file. Run it after an *intentional* behaviour change::
 
@@ -34,21 +35,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(REPO_ROOT))
-    from tests.test_golden_fingerprints import (
-        compute_fingerprint,
-        golden_points,
-        point_key,
-    )
+    from tests.test_golden_fingerprints import golden_matrix
 
     fingerprints = {}
-    for name, lanes in golden_points():
-        key = point_key(name, lanes)
-        fingerprints[key] = compute_fingerprint(name, lanes)
-        print(f"  {key:<28} {fingerprints[key][:16]}…")
+    for key, compute in golden_matrix().items():
+        fingerprints[key] = compute()
+        print(f"  {key:<40} {fingerprints[key][:16]}…")
 
     payload = {
         "_comment": (
-            "Frozen comparison fingerprints (workload × lanes). "
+            "Frozen fingerprints (workload × lanes × variant, plus "
+            "seeded random programs). "
             "Regenerate with: PYTHONPATH=src python "
             "tools/freeze_fingerprints.py"),
         "fingerprints": fingerprints,
