@@ -7,7 +7,6 @@ Two roles:
    same, comparable profile::
 
        PYTHONPATH=src python benchmarks/bench_hotpath.py --profile
-       PYTHONPATH=src python benchmarks/bench_hotpath.py --engine reference --profile
 
 2. **Perf-regression gate** (pytest, the CI ``bench`` job): re-measure
    the pinned subset and compare events/sec against the newest committed
@@ -52,17 +51,17 @@ PINNED_LANES = bench_trajectory.PINNED_LANES
 MEASURE_ROUNDS = 3
 
 
-def measure_pinned(engine_choice: str = "fast") -> dict:
+def measure_pinned() -> dict:
     """Best-of-N serial measurement of the pinned subset."""
     return bench_trajectory.measure_matrix(
-        engine_choice, lanes=PINNED_LANES, workloads=PINNED_WORKLOADS,
+        lanes=PINNED_LANES, workloads=PINNED_WORKLOADS,
         rounds=MEASURE_ROUNDS)
 
 
 # ------------------------------------------------------ pytest gate
 
 def test_hotpath_events_per_sec_no_regression(save_report):
-    """The CI perf gate: fast-engine throughput vs the committed point.
+    """The CI perf gate: simulator throughput vs the committed point.
 
     Throughput is compared on the pinned subset's events/sec against the
     ``pinned`` section of the newest committed ``BENCH_*.json`` — the
@@ -78,7 +77,7 @@ def test_hotpath_events_per_sec_no_regression(save_report):
     if baseline_pinned is None:
         pytest.skip(f"{baseline_path.name} predates the pinned section")
 
-    current = measure_pinned("fast")
+    current = measure_pinned()
     report = [f"baseline: {baseline_path.name} "
               f"({baseline_pinned['events_per_sec']:,} events/s pinned)",
               f"pinned subset now: {current['events_per_sec']:,} events/s "
@@ -94,25 +93,15 @@ def test_hotpath_events_per_sec_no_regression(save_report):
         f"{baseline_path.name}:\n  " + "\n  ".join(problems))
 
 
-def test_fast_engine_beats_reference_on_pinned_subset():
-    """The fast kernel must actually be faster than its oracle."""
-    fast = measure_pinned("fast")
-    reference = measure_pinned("reference")
-    assert fast["wall_clock_s"] < reference["wall_clock_s"], (
-        f"fast engine ({fast['wall_clock_s']:.2f}s) not faster than "
-        f"reference ({reference['wall_clock_s']:.2f}s)")
-
-
 # ------------------------------------------------------ standalone profiler
 
-def profile_pinned(engine_choice: str, top: int) -> str:
+def profile_pinned(top: int) -> str:
     """cProfile the pinned subset, return the top-frame table."""
     profiler = cProfile.Profile()
-    with bench_trajectory.engine(engine_choice):
-        profiler.enable()
-        for name in PINNED_WORKLOADS:
-            bench_trajectory.measure_point(name, PINNED_LANES)
-        profiler.disable()
+    profiler.enable()
+    for name in PINNED_WORKLOADS:
+        bench_trajectory.measure_point(name, PINNED_LANES)
+    profiler.disable()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(top)
@@ -123,8 +112,6 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--engine", choices=("fast", "reference"),
-                        default="fast")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top frames")
     parser.add_argument("--top", type=int, default=25,
@@ -136,13 +123,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.profile:
-        print(profile_pinned(args.engine, args.top))
+        print(profile_pinned(args.top))
         return 0
 
     from repro.eval.parallel import resolve_jobs
 
-    matrix = measure_pinned(args.engine)
-    print(f"pinned subset [{args.engine}]: "
+    matrix = measure_pinned()
+    print("pinned subset: "
           f"{matrix['wall_clock_s']:.2f}s, {matrix['events']:,} events, "
           f"{matrix['events_per_sec']:,} events/s")
     for name, point in matrix["workloads"].items():
@@ -152,10 +139,9 @@ def main(argv=None) -> int:
     if jobs > 1:
         from repro.eval.runner import run_suite
 
-        with bench_trajectory.engine(args.engine):
-            t0 = time.perf_counter()
-            run_suite(lanes=PINNED_LANES, jobs=jobs, verify=False)
-            wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        run_suite(lanes=PINNED_LANES, jobs=jobs, verify=False)
+        wall = time.perf_counter() - t0
         print(f"full suite with --repro-jobs {jobs}: {wall:.2f}s")
     return 0
 

@@ -11,6 +11,11 @@ every link plus per-hop latency. That is pessimistic for very long
 messages (no virtual-channel overlap across links) but the stream layer
 sends chunk-sized messages, which keeps the approximation tight.
 
+Delivery is closed-form: every link is booked up front with
+:meth:`~repro.sim.BandwidthServer.reserve`, so the time the message clears
+its last link is known at send time, and the delivery event is placed by
+three chained call slots instead of a chain of per-link events.
+
 **Multicast** is the NoC feature TaskStream's read-sharing recovery relies
 on: ``multicast`` charges each link of the destination *tree* once, instead
 of once per destination as repeated unicasts would.
@@ -146,28 +151,18 @@ class Noc:
         if hops == 0:
             return self.env.timeout(0)
         payload = nbytes + self.header_bytes
-        if self.env.fast:
-            counters = self.counters
-            finish = self.env.now
-            for _ in range(1 + self._drops("unicast")):
-                for server in servers:
-                    counters.add("noc.bytes", payload)
-                    booked = server.reserve(payload)
-                    if booked > finish:
-                        finish = booked
-                counters.add("noc.messages")
-                self.sanitizer.noc_message("unicast", payload, self.env.now)
-            return self._deliver_fast(finish, self.hop_latency * hops,
-                                      "unicast-delivery")
-        events = []
+        counters = self.counters
+        finish = self.env.now
         for _ in range(1 + self._drops("unicast")):
             for server in servers:
-                self.counters.add("noc.bytes", payload)
-                events.append(server.transfer(payload))
-            self.counters.add("noc.messages")
+                counters.add("noc.bytes", payload)
+                booked = server.reserve(payload)
+                if booked > finish:
+                    finish = booked
+            counters.add("noc.messages")
             self.sanitizer.noc_message("unicast", payload, self.env.now)
-        return self._chain_delivery(events, self.hop_latency * hops,
-                                    "unicast-delivery")
+        return self._deliver(finish, self.hop_latency * hops,
+                             "unicast-delivery")
 
     def multicast(self, src: str, dsts: Sequence[str],
                   nbytes: float) -> Event:
@@ -186,32 +181,20 @@ class Noc:
 
         tree, max_hops = self._tree_links(src, tuple(dsts))
         payload = nbytes + self.header_bytes
-        if self.env.fast and tree:
-            counters = self.counters
-            finish = self.env.now
-            for _ in range(1 + self._drops("multicast")):
-                for server in tree:
-                    counters.add("noc.bytes", payload)
-                    counters.add("noc.multicast_link_bytes", payload)
-                    booked = server.reserve(payload)
-                    if booked > finish:
-                        finish = booked
-                counters.add("noc.multicasts")
-                self.sanitizer.noc_message("multicast", payload,
-                                           self.env.now)
-            return self._deliver_fast(finish, self.hop_latency * max_hops,
-                                      "multicast-delivery")
-        events = []
+        counters = self.counters
+        finish = self.env.now
         for _ in range(1 + self._drops("multicast")):
             for server in tree:
-                self.counters.add("noc.bytes", payload)
-                self.counters.add("noc.multicast_link_bytes", payload)
-                events.append(server.transfer(payload))
-            self.counters.add("noc.multicasts")
+                counters.add("noc.bytes", payload)
+                counters.add("noc.multicast_link_bytes", payload)
+                booked = server.reserve(payload)
+                if booked > finish:
+                    finish = booked
+            counters.add("noc.multicasts")
             self.sanitizer.noc_message("multicast", payload, self.env.now)
         # Per-hop latency to the farthest leaf.
-        return self._chain_delivery(events, self.hop_latency * max_hops,
-                                    "multicast-delivery")
+        return self._deliver(finish, self.hop_latency * max_hops,
+                             "multicast-delivery")
 
     def _drops(self, kind: str) -> int:
         """Link-level packet loss: how many times the next message is
@@ -230,30 +213,19 @@ class Noc:
             self.sanitizer.noc_retransmit(kind, drops, self.env.now)
         return drops
 
-    def _chain_delivery(self, events: list[Event], tail_delay: float,
-                        name: str) -> Event:
-        """Reference delivery: all link transfers, then per-hop latency."""
-        done = self.env.event(name=name)
-        tail = self.env.all_of(events)
+    def _deliver(self, finish: float, tail_delay: float,
+                 name: str) -> Event:
+        """The delivery event of a message whose links are booked.
 
-        def after(_ev: Event) -> None:
-            self.env.timeout(tail_delay).add_callback(
-                lambda _t: done.succeed())
-
-        tail.add_callback(after)
-        return done
-
-    def _deliver_fast(self, finish: float, tail_delay: float,
-                      name: str) -> Event:
-        """Closed-form delivery for the fast kernel.
-
-        The link serialization times are already booked (``reserve``), so
-        delivery is fully determined: the message clears its last link at
-        ``finish`` and arrives ``tail_delay`` later. The three chained call
-        slots reproduce the reference chain's queue positions exactly —
-        last-link timeout, ``all_of`` tail, hop-latency timeout — so the
-        ``done`` event lands in the same slot of the same time bucket as
-        the reference kernel's would (see tests/test_engine_equivalence.py).
+        The message clears its last link at ``finish`` and arrives
+        ``tail_delay`` (the hop latency) later. Delivery takes three
+        chained call slots: one at ``finish`` (last link done), one more
+        at that same time behind everything already queued there (all
+        links done), and one at ``finish + tail_delay`` that fires
+        ``done``. This slot order fixes where delivery lands among
+        same-cycle contenders, so it is part of the timing contract that
+        ``tests/golden_fingerprints.json`` pins: collapsing the chain
+        changes fingerprints.
         """
         env = self.env
         done = Event(env, name)
@@ -262,12 +234,12 @@ class Noc:
             done.succeed()
 
         def slot_tail(_arg: object) -> None:
-            env._schedule_call_at(env.now + tail_delay, slot_hop)
+            env._schedule_call(slot_hop, at=env.now + tail_delay)
 
         def slot_last_link(_arg: object) -> None:
-            env._schedule_call_at(env.now, slot_tail)
+            env._schedule_call(slot_tail)
 
-        env._schedule_call_at(finish, slot_last_link)
+        env._schedule_call(slot_last_link, at=finish)
         return done
 
     # -- reporting ---------------------------------------------------------

@@ -5,12 +5,19 @@ stage pipeline (DRAM channel -> NoC links -> scratchpad banks), and each
 stage is a FIFO bandwidth server, so the stream's steady-state rate is set
 by the slowest stage while other streams contend naturally.
 
-Pipelining is modeled by decoupling issue from delivery: the pump process
-waits for the DRAM stage of chunk *k*, then hands the downstream stages to
-a detached delivery process and immediately issues chunk *k+1*. In-flight
+Pipelining is modeled by decoupling issue from delivery: the pump waits
+for the DRAM stage of chunk *k*, then hands the downstream stages to a
+detached delivery chain and immediately issues chunk *k+1*. In-flight
 chunks are bounded by a credit :class:`~repro.sim.Resource`, so downstream
 backpressure (a slow consumer of ``dest_store``) throttles DRAM issue —
 exactly the behaviour hardware credit-based streams have.
+
+The DRAM/NoC/scratchpad pumps are written in continuation-passing style:
+each stage is a callback on the event the previous stage returned, and a
+pump starts from a bare call slot. Callbacks run inside the awaited
+event's queue slot, just where a generator process would resume, but
+without a generator frame or a Process object per chunk. Only the
+lane-to-lane :meth:`StreamEngine.forward` pump is a generator process.
 """
 
 from __future__ import annotations
@@ -64,44 +71,14 @@ class StreamEngine:
 
     def stream_in(self, nbytes: float, locality: float = 1.0,
                   dest_store: Optional[Store] = None,
-                  close_dest: bool = False) -> Process:
+                  close_dest: bool = False) -> Event:
         """Stream ``nbytes`` from DRAM into this lane's scratchpad.
 
+        Per chunk: take a credit, fetch from DRAM, then hand the chunk to a
+        detached delivery (:meth:`_deliver_chunk`) and issue the next one.
         If ``dest_store`` is given, a token is put per delivered chunk so a
-        compute process can consume data as it arrives. The returned
-        process completes when the final chunk has landed.
-        """
-        if self.env.fast:
-            return self._stream_in_fast(nbytes, locality, dest_store,
-                                        close_dest)
-        return self.env.process(
-            self._pump_from_dram(nbytes, locality, dest_store, close_dest),
-            name=f"{self.lane_name}.stream_in")
-
-    def _pump_from_dram(self, nbytes: float, locality: float,
-                        dest_store: Optional[Store], close_dest: bool,
-                        ) -> Generator:
-        credits = Resource(self.env, self.max_inflight_chunks,
-                           name=self._credits_name)
-        tails = []
-        for size in self.chunks_of(nbytes):
-            yield credits.acquire()
-            yield self.dram.fetch(size, locality)
-            tails.append(self.env.process(
-                self._deliver_chunk(size, dest_store, credits)))
-        yield self.env.all_of(tails)
-        self.counters.add(self._in_key, nbytes)
-        if dest_store is not None and close_dest:
-            dest_store.close()
-
-    def _stream_in_fast(self, nbytes: float, locality: float,
-                        dest_store: Optional[Store],
-                        close_dest: bool) -> Event:
-        """Callback-chain form of :meth:`_pump_from_dram` (fast kernel).
-
-        Stage code runs in exactly the slots the generator version's
-        resumes would occupy (callbacks fire synchronously inside the
-        awaited event's slot), so both forms are schedule-identical.
+        compute process can consume data as it arrives. The returned event
+        fires when the final chunk has landed.
         """
         env = self.env
         complete = Event(env, "stream_in")
@@ -118,7 +95,7 @@ class StreamEngine:
             complete.succeed()
 
         def after_fetch(_ev: object) -> None:
-            tails.append(self._deliver_chunk_fast(
+            tails.append(self._deliver_chunk(
                 sizes[idx[0]], dest_store, credits))
             idx[0] += 1
             next_chunk(None)
@@ -133,28 +110,12 @@ class StreamEngine:
             else:
                 credits.acquire().add_callback(after_grant)
 
-        env._schedule_call(next_chunk, complete)
+        env._schedule_call(next_chunk)
         return complete
 
     def _deliver_chunk(self, size: int, dest_store: Optional[Store],
-                       credits: Resource) -> Generator:
-        yield self.noc.unicast(MEM_NODE, self.lane_name, size)
-        yield self.spad.access(size, is_write=True)
-        if dest_store is not None:
-            yield dest_store.put(size)
-        credits.release()
-
-    def _deliver_chunk_fast(self, size: int, dest_store: Optional[Store],
-                            credits: Resource) -> Event:
-        """Callback-chain form of :meth:`_deliver_chunk` (fast kernel).
-
-        Each stage runs in exactly the queue slot where the generator
-        version's ``Process._resume`` would run it — callbacks fire
-        synchronously inside the awaited event's slot, just like a process
-        resume does — so the two forms are schedule-identical while this
-        one skips the generator frame, the Process object, and four
-        ``send`` round-trips per chunk.
-        """
+                       credits: Resource) -> Event:
+        """NoC to the lane, scratchpad write, optional token, credit back."""
         env = self.env
         complete = Event(env, "deliver_chunk")
 
@@ -175,40 +136,19 @@ class StreamEngine:
             self.noc.unicast(MEM_NODE, self.lane_name,
                              size).add_callback(after_noc)
 
-        # Same bootstrap slot a freshly spawned process would occupy.
-        env._schedule_call(start, complete)
+        env._schedule_call(start)
         return complete
 
     # -- resident scratchpad data -> fabric --------------------------------
 
     def read_resident(self, nbytes: float,
                       dest_store: Optional[Store] = None,
-                      close_dest: bool = False) -> Process:
+                      close_dest: bool = False) -> Event:
         """Feed on-chip (multicast-resident) data to the fabric.
 
         No DRAM or NoC traffic — only scratchpad bank reads. This is the
         payoff of read-sharing recovery.
         """
-        if self.env.fast:
-            return self._read_resident_fast(nbytes, dest_store, close_dest)
-        return self.env.process(
-            self._pump_resident(nbytes, dest_store, close_dest),
-            name=f"{self.lane_name}.read_resident")
-
-    def _pump_resident(self, nbytes: float, dest_store: Optional[Store],
-                       close_dest: bool) -> Generator:
-        for size in self.chunks_of(nbytes):
-            yield self.spad.access(size, is_write=False)
-            if dest_store is not None:
-                yield dest_store.put(size)
-        self.counters.add(self._resident_key, nbytes)
-        if dest_store is not None and close_dest:
-            dest_store.close()
-
-    def _read_resident_fast(self, nbytes: float,
-                            dest_store: Optional[Store],
-                            close_dest: bool) -> Event:
-        """Callback-chain form of :meth:`_pump_resident` (fast kernel)."""
         env = self.env
         complete = Event(env, "read_resident")
         sizes = self.chunks_of(nbytes)
@@ -237,64 +177,25 @@ class StreamEngine:
                 self.spad.access(sizes[idx[0]],
                                  is_write=False).add_callback(after_access)
 
-        env._schedule_call(step, complete)
+        env._schedule_call(step)
         return complete
 
     # -- lane -> memory ----------------------------------------------------
 
     def stream_out(self, nbytes: float, locality: float = 1.0,
-                   src_store: Optional[Store] = None) -> Process:
+                   src_store: Optional[Store] = None) -> Event:
         """Stream ``nbytes`` of results back to DRAM.
 
         With ``src_store``, chunks are drained as compute produces them
         (tokens put by the compute process); otherwise the whole transfer
-        is issued immediately (end-of-task writeback).
+        is issued immediately (end-of-task writeback). Each chunk goes
+        scratchpad read -> NoC to memory -> DRAM writeback.
         """
-        if self.env.fast:
-            return self._stream_out_fast(nbytes, locality, src_store)
-        return self.env.process(
-            self._pump_to_dram(nbytes, locality, src_store),
-            name=f"{self.lane_name}.stream_out")
-
-    def _pump_to_dram(self, nbytes: float, locality: float,
-                      src_store: Optional[Store]) -> Generator:
-        if src_store is None:
-            for size in self.chunks_of(nbytes):
-                yield from self._writeback_chunk(size, locality)
-        else:
-            # Consume *every* compute token (or the producer would block on
-            # a full store), writing back at most ``nbytes`` total; any
-            # bytes left after the stream closes go out as a trailing burst.
-            remaining = float(nbytes)
-            while True:
-                token = yield src_store.get()
-                if token is Store.END:
-                    break
-                size = min(self.chunk_bytes, remaining)
-                if size > 0:
-                    yield from self._writeback_chunk(size, locality)
-                    remaining -= size
-            while remaining > 0:
-                size = min(self.chunk_bytes, remaining)
-                yield from self._writeback_chunk(size, locality)
-                remaining -= size
-        self.counters.add(self._out_key, nbytes)
-
-    def _writeback_chunk(self, size: float, locality: float) -> Generator:
-        yield self.spad.access(size, is_write=False)
-        yield self.noc.unicast(self.lane_name, MEM_NODE, size)
-        yield self.dram.writeback(size, locality)
-
-    def _stream_out_fast(self, nbytes: float, locality: float,
-                         src_store: Optional[Store]) -> Event:
-        """Callback-chain form of :meth:`_pump_to_dram` (fast kernel)."""
         env = self.env
         complete = Event(env, "stream_out")
         remaining = [float(nbytes)]
 
         def writeback(size: float, then) -> None:
-            # spad read -> NoC to MEM -> DRAM writeback, like
-            # _writeback_chunk, each stage in its awaited event's slot.
             def after_noc(_ev: object) -> None:
                 self.dram.writeback(size, locality).add_callback(then)
 
@@ -322,9 +223,12 @@ class StreamEngine:
 
                     writeback(sizes[idx[0]], done)
 
-            env._schedule_call(step, complete)
+            env._schedule_call(step)
             return complete
 
+        # Consume *every* compute token (or the producer would block on a
+        # full store), writing back at most ``nbytes`` total; any bytes
+        # left after the stream closes go out as a trailing burst.
         def trailing(_arg: object) -> None:
             if remaining[0] > 0:
                 size = min(self.chunk_bytes, remaining[0])
@@ -354,7 +258,7 @@ class StreamEngine:
         def get_next(_arg: object) -> None:
             src_store.get().add_callback(on_token)
 
-        env._schedule_call(get_next, complete)
+        env._schedule_call(get_next)
         return complete
 
     # -- lane -> lane (pipelined inter-task dependences) --------------------

@@ -26,7 +26,7 @@ from repro.arch.lane import Lane
 from repro.arch.mapper import Mapper
 from repro.arch.noc import Noc
 from repro.machine.metrics import MetricsBus
-from repro.sim import Environment, make_environment
+from repro.sim import Environment
 from repro.sim.faults import (
     FaultInjector,
     NullFaultInjector,
@@ -91,10 +91,7 @@ class Machine:
                 injector = FaultInjector(plan)
             else:
                 injector = NullFaultInjector()
-        # REPRO_ENGINE picks the event kernel (fast calendar queue by
-        # default, the reference heap as oracle); both produce identical
-        # fingerprints, so the choice is invisible to result_stats.
-        env = make_environment()
+        env = Environment()
         if sanitizer.enabled:
             env.clock_monitor = sanitizer.clock_advanced
         metrics = MetricsBus()

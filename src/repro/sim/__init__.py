@@ -4,7 +4,7 @@ A small, dependency-free process-based DES in the style of SimPy: simulated
 hardware components are generator coroutines that ``yield`` timeouts,
 events, resource requests, and queue operations. The kernel provides:
 
-- :class:`Environment` — the clock and event loop.
+- :class:`Environment` — the clock and the calendar-queue event loop.
 - :class:`Event` / :class:`Process` — one-shot completion events and
   coroutine processes.
 - :class:`Timeout` — delay by N cycles.
@@ -28,11 +28,6 @@ from repro.sim.engine import (
     DeadlockError,
     total_events_processed,
 )
-from repro.sim.fastengine import (
-    FastEnvironment,
-    engine_name,
-    make_environment,
-)
 from repro.sim.faults import (
     FaultInjector,
     FaultPlan,
@@ -54,9 +49,6 @@ from repro.sim.trace import Tracer, NullTracer, TraceEvent
 
 __all__ = [
     "Environment",
-    "FastEnvironment",
-    "engine_name",
-    "make_environment",
     "Event",
     "Process",
     "Timeout",

@@ -8,7 +8,16 @@ The design follows the classic process-interaction DES structure:
 - A :class:`Process` wraps a generator. Each ``yield`` hands the kernel an
   event to wait on; when that event fires, the generator is resumed with
   the event's value (or the exception is thrown into it).
-- The :class:`Environment` owns simulated time and the event heap.
+- The :class:`Environment` owns simulated time and the event queue.
+
+The queue is a *calendar* (bucket) queue: a dict from simulated time to
+the list of entries scheduled at that time, plus a small heap of the
+distinct times. Within a bucket, append order is the schedule order, so
+events fire ordered by time and then FIFO. A bucket entry is either an
+:class:`Event` (its callbacks run) or a bare ``(fn, arg)`` call slot
+(``fn(arg)`` runs) — the form used for callbacks added to an
+already-processed event, process bootstraps and the closed-form component
+paths in :mod:`repro.arch`, none of which needs an Event object.
 
 This is deliberately a subset of SimPy's semantics — enough for cycle-level
 hardware modeling, small enough to reason about and test exhaustively.
@@ -22,9 +31,8 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 #: Scheduling slots drained by every environment in this process — the
 #: denominator of the events/sec metric in BENCH_*.json. Outside the
-#: counter bag on purpose: the two kernels process different slot counts
-#: (the fast engine elides shim events), so this must never reach a
-#: fingerprint.
+#: counter bag on purpose: it measures the host event loop, not the
+#: simulated machine, so it must never reach a fingerprint.
 _process_events_total = 0
 
 
@@ -54,7 +62,7 @@ class Interrupt(Exception):
 class Event:
     """A one-shot event that processes can wait on.
 
-    State machine: *pending* → *triggered* (scheduled on the heap) →
+    State machine: *pending* → *triggered* (scheduled in the queue) →
     *processed* (callbacks ran). ``succeed``/``fail`` may be called exactly
     once.
     """
@@ -98,7 +106,7 @@ class Event:
         If the event already fired, the callback is scheduled immediately.
         """
         if self._processed:
-            # Run via the heap to preserve causal ordering.
+            # Run via the queue to preserve causal ordering.
             self.env._schedule_call(fn, self)
         elif self._callbacks is None:
             self._callbacks = [fn]
@@ -186,13 +194,11 @@ class Process(Event):
             generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Optional[Event] = None
-        # Kick off the process via an immediate scheduling slot so creation
-        # order matches execution order. The environment owns how that slot
-        # is represented (the fast kernel uses a bare call slot instead of
-        # a bootstrap event — same queue position either way).
-        env._schedule_process_start(self)
+        # Kick off the process via an immediate call slot so creation
+        # order matches execution order.
+        env._schedule_call(self._start)
 
-    def _start(self, _arg: Any = None) -> None:
+    def _start(self, _arg: Any) -> None:
         """First resume, from the bootstrap slot (nothing awaited yet)."""
         if self.is_alive:
             self._step(None, is_throw=False)
@@ -260,7 +266,7 @@ class Process(Event):
 
 
 class Environment:
-    """Simulated clock plus the pending-event heap.
+    """Simulated clock plus the calendar queue of pending entries.
 
     Parameters
     ----------
@@ -270,47 +276,48 @@ class Environment:
         a simulator where a modeling bug should abort the experiment.
     """
 
-    #: Class tag the arch components consult to pick their fast paths;
-    #: the reference kernel reports False, :class:`~repro.sim.fastengine.
-    #: FastEnvironment` overrides it.
-    fast = False
-
     def __init__(self, strict: bool = True) -> None:
         self.now: float = 0.0
         self.strict = strict
-        self._heap: list[tuple[float, int, Event]] = []
-        self._seq = 0
+        #: Time -> entries scheduled at that time, in schedule order.
+        self._buckets: dict[float, list[Any]] = {}
+        #: Heap of the distinct times that have a bucket.
+        self._times: list[float] = []
         #: Scheduling slots drained so far — the denominator of the
         #: events/sec throughput metric in BENCH_*.json.
         self.events_processed = 0
         #: Optional observer called as ``clock_monitor(prev, next)`` right
         #: before the clock advances to a later time — the sanitizer's
         #: cycle-monotonicity hook. None (the default) costs one comparison
-        #: per event.
+        #: per bucket.
         self.clock_monitor: Optional[Callable[[float, float], None]] = None
 
     # -- scheduling ------------------------------------------------------
 
     def _schedule_event(self, event: Event, delay: float) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+        at = self.now + delay
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = [event]
+            heapq.heappush(self._times, at)
+        else:
+            bucket.append(event)
 
-    def _schedule_call(self, fn: Callable[[Event], None],
-                       event: Event) -> None:
-        shim = Event(self, name="callback-shim")
-        shim.add_callback(lambda _ev: fn(event))
-        shim.succeed()
+    def _schedule_call(self, fn: Callable[[Any], None], arg: Any = None,
+                       at: Optional[float] = None) -> None:
+        """Place a bare ``fn(arg)`` call slot at time ``at`` (default: now).
 
-    def _schedule_process_start(self, process: "Process") -> None:
-        """Queue the first resume of a freshly created process.
-
-        One scheduling slot at the current time, so creation order matches
-        execution order. The fast kernel overrides this with a bare call
-        slot — same queue position, no bootstrap Event object.
+        A call slot occupies one queue position exactly like an event
+        would, without allocating one.
         """
-        bootstrap = Event(self, name=f"init:{process.name}")
-        bootstrap.add_callback(process._start)
-        bootstrap.succeed()
+        if at is None:
+            at = self.now
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = [(fn, arg)]
+            heapq.heappush(self._times, at)
+        else:
+            bucket.append((fn, arg))
 
     # -- public API ------------------------------------------------------
 
@@ -407,31 +414,41 @@ class Environment:
         return done
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the heap is empty or ``until`` cycles have elapsed.
+        """Run until the queue is empty or ``until`` cycles have elapsed.
 
-        Returns the final simulated time. Raises :class:`DeadlockError` via
-        resource/store bookkeeping only implicitly: an empty heap simply
-        ends the run (callers check completion events; the Delta top level
+        Returns the final simulated time. An empty queue simply ends the
+        run: callers check their completion events (the Delta top level
         raises a descriptive error if its program did not finish).
         """
         global _process_events_total
+        times = self._times
+        buckets = self._buckets
         start = self.events_processed
         try:
-            while self._heap:
-                at, _seq, event = self._heap[0]
+            while times:
+                at = times[0]
                 if until is not None and at > until:
                     self.now = until
                     return self.now
-                heapq.heappop(self._heap)
+                heapq.heappop(times)
+                # Detach the bucket before draining: same-time entries
+                # scheduled *while* draining start a fresh bucket at
+                # ``at``, which the loop picks up next — after everything
+                # already queued, preserving FIFO order within a time.
+                bucket = buckets.pop(at)
                 if self.clock_monitor is not None and at != self.now:
                     self.clock_monitor(self.now, at)
                 self.now = at
-                self.events_processed += 1
-                event._process()
+                self.events_processed += len(bucket)
+                for entry in bucket:
+                    if type(entry) is tuple:
+                        entry[0](entry[1])
+                    else:
+                        entry._process()
             return self.now
         finally:
             _process_events_total += self.events_processed - start
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``float('inf')`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
+        """Time of the next scheduled entry, or ``float('inf')`` if none."""
+        return self._times[0] if self._times else float("inf")

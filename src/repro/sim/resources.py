@@ -2,7 +2,7 @@
 
 These are the contention points of the simulated machine. All waiting is
 strictly FIFO so results are deterministic given a deterministic event
-ordering (which :mod:`repro.sim.engine` guarantees via sequence numbers).
+ordering (which :mod:`repro.sim.engine` guarantees: time, then FIFO).
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ class BandwidthServer:
         """Book a transfer and return its absolute delivery time.
 
         Identical channel bookkeeping to :meth:`transfer` without creating
-        an event — the closed-form NoC/DRAM fast paths use this and place
-        their own completion slot at the returned time.
+        an event — the closed-form NoC delivery uses this and places its
+        own completion slot at the returned time.
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")

@@ -30,11 +30,7 @@ import bench_trajectory  # noqa: E402
 
 from repro.arch.config import default_delta_config  # noqa: E402
 from repro.eval.parallel import resolve_jobs  # noqa: E402
-from repro.sim import (  # noqa: E402
-    Environment,
-    FastEnvironment,
-    total_events_processed,
-)
+from repro.sim import Environment, total_events_processed  # noqa: E402
 from repro.workloads.registry import workload_names  # noqa: E402
 
 
@@ -87,19 +83,19 @@ def test_microharness_accepts_repro_jobs_flag():
 
 # ------------------------------------------------------ events metric
 
-def test_total_events_processed_counts_both_kernels():
-    for env_cls in (Environment, FastEnvironment):
-        env = env_cls()
+def test_total_events_processed_counts_drained_slots():
+    """One bootstrap slot plus five timeouts, in both counters."""
+    env = Environment()
 
-        def proc():
-            for _ in range(5):
-                yield env.timeout(1)
+    def proc():
+        for _ in range(5):
+            yield env.timeout(1)
 
-        env.process(proc())
-        before = total_events_processed()
-        env.run()
-        assert total_events_processed() > before
-        assert env.events_processed > 0
+    env.process(proc())
+    before = total_events_processed()
+    env.run()
+    assert env.events_processed == 7  # bootstrap, 5 timeouts, completion
+    assert total_events_processed() - before == 7
 
 
 # ------------------------------------------------------ trajectory file
@@ -110,7 +106,7 @@ def test_committed_trajectory_schema():
     assert path is not None, "no BENCH_*.json committed at the repo root"
     payload = json.loads(path.read_text())
     assert payload["bench_id"] == path.stem
-    for section in ("suite", "reference", "pinned"):
+    for section in ("suite", "pinned"):
         block = payload[section]
         assert block["events"] > 0
         assert block["events_per_sec"] > 0
@@ -119,14 +115,8 @@ def test_committed_trajectory_schema():
             assert point["events"] > 0 and point["sim_s"] >= 0
     # The suite sections cover the full registry; pinned covers the pin.
     assert set(payload["suite"]["workloads"]) == set(workload_names())
-    assert set(payload["reference"]["workloads"]) == set(workload_names())
     assert set(payload["pinned"]["workloads"]) == \
         set(bench_trajectory.PINNED_WORKLOADS)
-    assert payload["speedup_vs_reference"] > 0
-    # Event counts are deterministic, so both recorded engines must agree
-    # with what the simulator produces structurally: fast never processes
-    # more slots than the reference kernel (it only elides events).
-    assert payload["suite"]["events"] <= payload["reference"]["events"]
 
 
 def test_perf_regression_logic():

@@ -33,7 +33,7 @@ from repro.sim.sanitize import (
     env_sanitize_requested,
 )
 from repro.sim.stats import UtilizationTracker
-from repro.util.fingerprint import result_stats
+from repro.util.fingerprint import comparison_fingerprint, result_stats
 from repro.workloads import get_workload
 from repro.workloads.registry import workload_names
 from repro.workloads.synthetic import (
@@ -509,38 +509,34 @@ class TestSanitizedRuns:
 
 
 class TestDifferentialMatrix:
-    """Every workload, both runtimes, both lane counts, both event
-    engines: the sanitized run must find nothing and change nothing.
+    """Every workload, both runtimes, both lane counts: the sanitized run
+    must find nothing and change nothing.
 
-    The matrix closes the loop between the sanitizer's invariants and the
-    fast event kernel (tests/test_engine_equivalence.py): for each point,
-    sanitized-fast == sanitized-reference == unsanitized-reference,
-    bit-identically. A fast-path shortcut that broke an invariant — or
-    dodged the sanitizer's observation hooks — diverges here.
+    For each point, sanitized == unsanitized, and both match the point's
+    frozen key in ``tests/golden_fingerprints.json``. A shortcut that
+    broke an invariant — or dodged the sanitizer's observation hooks —
+    diverges here.
     """
 
     @pytest.mark.parametrize("lanes", [2, 8])
     @pytest.mark.parametrize("name", workload_names())
-    def test_sanitized_fingerprint_identical(self, name, lanes, monkeypatch):
+    def test_sanitized_fingerprint_identical(self, name, lanes):
         from repro.eval.runner import compare
+        from tests.test_golden_fingerprints import load_golden, point_key
 
         workload = get_workload(name)
         config = default_delta_config(lanes=lanes)
-
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
         plain = compare(workload, config)
-        sanitized_ref = compare(workload, config.with_sanitize(True))
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        sanitized_fast = compare(workload, config.with_sanitize(True))
+        sanitized = compare(workload, config.with_sanitize(True))
 
         for side in ("delta", "static"):
-            baseline = result_stats(getattr(plain, side))
-            assert result_stats(getattr(sanitized_ref, side)) == baseline, \
-                f"{name}@lanes={lanes} [{side}]: sanitizer perturbed the " \
-                "reference engine"
-            assert result_stats(getattr(sanitized_fast, side)) == baseline, \
-                f"{name}@lanes={lanes} [{side}]: sanitized fast engine " \
-                "diverged from unsanitized reference"
+            assert result_stats(getattr(sanitized, side)) == \
+                result_stats(getattr(plain, side)), \
+                f"{name}@lanes={lanes} [{side}]: sanitizer perturbed the run"
+        frozen = load_golden()[point_key(name, lanes)]
+        assert comparison_fingerprint(plain) == frozen, \
+            f"{name}@lanes={lanes}: diverged from the frozen fingerprint"
+        assert comparison_fingerprint(sanitized) == frozen
 
 
 class TestInjectedModelBugs:

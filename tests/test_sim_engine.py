@@ -3,10 +3,12 @@
 import pytest
 
 from repro.sim import (
+    BandwidthServer,
     Environment,
     Event,
     Interrupt,
     SimulationError,
+    Store,
 )
 
 
@@ -304,7 +306,7 @@ def test_peek_reports_next_event_time():
         yield env.timeout(17)
 
     env.process(proc())
-    assert env.peek() == 0  # process bootstrap event
+    assert env.peek() == 0  # process bootstrap slot
     env.run()
     assert env.peek() == float("inf")
 
@@ -494,9 +496,68 @@ def test_run_until_does_not_pop_the_next_event():
     env.run(until=10)
     assert env.now == 10
     assert fired == []
-    assert env.peek() == 50  # still on the heap, untouched
+    assert env.peek() == 50  # still queued, untouched
     env.run(until=49)
     assert fired == []
     env.run()
     assert fired == [50]
     assert env.now == 50
+
+
+def test_run_until_bound_on_a_periodic_process():
+    """run(until=...) stops at the bound, between two ticks."""
+    env = Environment()
+    ticks = []
+
+    def ticker():
+        while True:
+            yield env.timeout(10)
+            ticks.append(env.now)
+
+    env.process(ticker())
+    assert env.run(until=35) == 35
+    assert env.now == 35
+    assert ticks == [10, 20, 30]
+
+
+def test_store_fifo_under_backpressure():
+    """A capacity-2 Store delivers seven items in order, then END."""
+    env = Environment()
+    store = Store(env, capacity=2)
+    received = []
+
+    def producer():
+        for item in range(7):
+            yield store.put(item)
+        store.close()
+
+    def consumer():
+        while True:
+            got = yield store.get()
+            if got is Store.END:
+                return
+            received.append(got)
+
+    env.process(producer())
+    env.process(consumer())
+    env.run()
+    assert received == list(range(7))
+
+
+def test_bandwidth_server_completion_times():
+    """Back-to-back transfers finish at serialization + latency each."""
+    env = Environment()
+    server = BandwidthServer(env, bytes_per_cycle=4.0, latency=3)
+    times = []
+
+    def proc():
+        for size in (100, 3, 57, 1024, 8):
+            yield server.transfer(size)
+            times.append(env.now)
+
+    env.process(proc())
+    env.run()
+    assert times == [28, 31.75, 49, 308, 313]
+    assert env.now == 313
+    assert server.total_bytes == 1192
+    assert server.utilization() == 298 / 313

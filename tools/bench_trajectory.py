@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Record this PR's perf trajectory point: ``BENCH_<n>.json``.
 
-Measures the tier-1 workload matrix under both event kernels — suite
-wall-clock, per-workload simulation seconds, and events/sec (scheduling
-slots drained per second of host time) — and writes the committed
-trajectory file every future PR compares against::
+Measures the tier-1 workload matrix — suite wall-clock, per-workload
+simulation seconds, and events/sec (scheduling slots drained per second
+of host time) — and writes the committed trajectory file every future PR
+compares against::
 
     PYTHONPATH=src python tools/bench_trajectory.py          # BENCH_6.json
     PYTHONPATH=src python tools/bench_trajectory.py --bench-id 7
@@ -21,20 +21,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
-
-#: Serial-measurement engines, in reporting order.
-ENGINES = ("reference", "fast")
 
 #: The pinned profile/regression subset (also used by
 #: benchmarks/bench_hotpath.py): the suite's heaviest event producers
@@ -48,20 +43,6 @@ PINNED_LANES = 8
 #: events/sec may regress by at most this fraction before the bench CI
 #: job fails (compared against the committed previous BENCH_*.json).
 DEFAULT_TOLERANCE = 0.20
-
-
-@contextmanager
-def engine(name: str):
-    """Select the event kernel (``REPRO_ENGINE``) inside the block."""
-    old = os.environ.get("REPRO_ENGINE")
-    os.environ["REPRO_ENGINE"] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["REPRO_ENGINE"]
-        else:
-            os.environ["REPRO_ENGINE"] = old
 
 
 def point_config(lanes: int = 8):
@@ -94,10 +75,10 @@ def measure_point(workload_name: str, lanes: int = 8) -> dict:
     }
 
 
-def measure_matrix(engine_choice: str, lanes: int = 8,
+def measure_matrix(lanes: int = 8,
                    workloads: Optional[Sequence[str]] = None,
                    rounds: int = 1) -> dict:
-    """Serial sweep of the workload matrix under one engine.
+    """Serial sweep of the workload matrix.
 
     ``rounds`` > 1 keeps the best (fastest) sweep: event counts are
     deterministic, wall-clock is not, and best-of damps host scheduler
@@ -111,9 +92,8 @@ def measure_matrix(engine_choice: str, lanes: int = 8,
     for _ in range(max(1, rounds)):
         per_workload = {}
         t0 = time.perf_counter()
-        with engine(engine_choice):
-            for name in names:
-                per_workload[name] = measure_point(name, lanes)
+        for name in names:
+            per_workload[name] = measure_point(name, lanes)
         wall = time.perf_counter() - t0
         events = sum(p["events"] for p in per_workload.values())
         matrix = {
@@ -194,32 +174,22 @@ def measure_store(lanes: int = 8,
 def build_payload(bench_id: int, lanes: int = 8,
                   workloads: Optional[Sequence[str]] = None,
                   jobs: Optional[int] = None) -> dict:
-    """Measure both engines and assemble the BENCH_<n>.json payload."""
+    """Measure the matrix and assemble the BENCH_<n>.json payload."""
     from repro.eval.parallel import resolve_jobs
 
-    suites = {name: measure_matrix(name, lanes, workloads)
-              for name in ENGINES}
-    fast, reference = suites["fast"], suites["reference"]
     payload = {
         "bench_id": f"BENCH_{bench_id}",
         "schema": 1,
         "description": (
             "Perf trajectory point: tier-1 workload matrix "
-            "(Delta-vs-static compare per workload), serial, "
-            "REPRO_ENGINE as keyed. events = scheduling slots drained; "
-            "events differ between engines by design (the fast kernel "
-            "elides shim events)."),
+            "(Delta-vs-static compare per workload), serial. "
+            "events = scheduling slots drained."),
         "lanes": lanes,
-        "suite": fast,
-        "reference": reference,
-        "speedup_vs_reference": round(
-            reference["wall_clock_s"] / fast["wall_clock_s"], 3)
-        if fast["wall_clock_s"] else 0.0,
+        "suite": measure_matrix(lanes, workloads),
         # The subset the CI perf gate re-measures (same mix and same
         # best-of-3 timing, so the events/sec comparison is
         # like-for-like).
-        "pinned": measure_matrix("fast", PINNED_LANES, PINNED_WORKLOADS,
-                                 rounds=3),
+        "pinned": measure_matrix(PINNED_LANES, PINNED_WORKLOADS, rounds=3),
         # Warm-cache hit rate + eviction behavior of the unified store
         # (informational — the CI gate reads the sections above).
         "store": measure_store(lanes),
@@ -307,12 +277,9 @@ def main(argv=None) -> int:
                             workloads=args.workloads, jobs=args.repro_jobs)
     output = args.output or REPO_ROOT / f"BENCH_{args.bench_id}.json"
     output.write_text(json.dumps(payload, indent=2) + "\n")
-    fast, ref = payload["suite"], payload["reference"]
-    print(f"reference: {ref['wall_clock_s']:.2f}s "
-          f"({ref['events_per_sec']:,} events/s)")
-    print(f"fast:      {fast['wall_clock_s']:.2f}s "
-          f"({fast['events_per_sec']:,} events/s)")
-    print(f"speedup:   {payload['speedup_vs_reference']:.2f}x")
+    suite = payload["suite"]
+    print(f"suite: {suite['wall_clock_s']:.2f}s "
+          f"({suite['events_per_sec']:,} events/s)")
     print(f"wrote {output}")
     return 0
 
