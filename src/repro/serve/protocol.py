@@ -29,6 +29,11 @@ from typing import Optional
 #: finished_at) and typed error codes on ``failed`` events.
 PROTOCOL_VERSION = 2
 
+#: Largest ``lanes`` a job may ask for: 8x the 32 lanes of the largest
+#: scaling run (F3). A point's host time and memory grow about linearly
+#: in lanes, so an unbounded value would let one POST pin a worker.
+MAX_LANES = 256
+
 
 # -- typed errors -----------------------------------------------------------
 
@@ -168,6 +173,7 @@ def parse_job_spec(payload: object) -> JobSpec:
     lanes = payload.get("lanes", 8)
     _require(isinstance(lanes, int) and not isinstance(lanes, bool)
              and lanes > 0, "lanes must be a positive integer")
+    _require(lanes <= MAX_LANES, f"lanes must be at most {MAX_LANES}")
     seed = payload.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool),
              "seed must be an integer")

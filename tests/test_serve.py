@@ -44,7 +44,7 @@ from repro.arch.config import default_delta_config
 from repro.eval.parallel import run_suite_parallel
 from repro.serve import JobQueue, JobSpec, QuotaExceeded, Server
 from repro.serve.http import read_request
-from repro.serve.protocol import ServeError, parse_job_spec
+from repro.serve.protocol import MAX_LANES, ServeError, parse_job_spec
 from repro.serve.queue import CANCELLED, COMPLETED, FAILED, RUNNING
 from repro.workloads import get_workload
 
@@ -222,6 +222,8 @@ class TestProtocolRoundTrip:
                 ({"kind": "sweep", "workloads": NAMES,
                   "policy": "no-such-policy"}, 400, "unknown-policy"),
                 ({"kind": "compare", "workloads": NAMES}, 400, "bad-spec"),
+                ({"kind": "sweep", "workloads": NAMES,
+                  "lanes": MAX_LANES + 1}, 400, "bad-spec"),
             ]
             for spec, want_status, want_code in cases:
                 status, body = request(port, "POST", "/jobs", body=spec)
@@ -559,6 +561,16 @@ class TestSpecParsing:
         with pytest.raises(SpecError):
             parse_job_spec(sweep_spec(lanes=True))
 
+    def test_lanes_bounded_by_max_lanes(self):
+        from repro.serve.protocol import SpecError
+
+        assert parse_job_spec(sweep_spec(lanes=MAX_LANES)).lanes == MAX_LANES
+        for lanes in (MAX_LANES + 1, 1_000_000):
+            with pytest.raises(SpecError, match="at most") as excinfo:
+                parse_job_spec(sweep_spec(lanes=lanes))
+            assert (excinfo.value.status, excinfo.value.code) == \
+                (400, "bad-spec")
+
 
 # -- the wire front-end under byte-level fuzzing ----------------------------
 
@@ -605,6 +617,9 @@ _SPECS = st.dictionaries(st.sampled_from(_SPEC_FIELDS), _JSON, max_size=6)
 # recursion limit and escaped as an untyped RecursionError (HTTP 500).
 @example(_post(b"[" * 100_000))
 @example(_post(b'{"workloads": ' + b"[" * 50_000 + b"]" * 50_000 + b"}"))
+# An oversized lane count must not become a job that pins a worker.
+@example(_post(json.dumps({"workloads": NAMES,
+                           "lanes": 1_000_000}).encode()))
 def test_front_end_bytes_end_typed(raw):
     """Any byte string ends as a typed 4xx :class:`ServeError`, a clean
     close (``None``), or a valid :class:`JobSpec` — never an untyped
@@ -616,4 +631,4 @@ def test_front_end_bytes_end_typed(raw):
         return
     if spec is not None:
         assert isinstance(spec, JobSpec)
-        assert spec.workloads and spec.lanes > 0
+        assert spec.workloads and 0 < spec.lanes <= MAX_LANES
