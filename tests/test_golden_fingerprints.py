@@ -7,9 +7,10 @@ frozen matrix:
   plain Delta-vs-static :func:`comparison_fingerprint`;
 - the same grid under the policy tournament's canned fault plan
   (``+faults=canned``), under the CI ``faults`` job's ``plan.json`` with
-  NoC drops and DRAM spikes (``+faults=ci``), and under the
-  ``round-robin``, ``steal`` and ``random`` dispatch policies
-  (``+policy=<name>``);
+  NoC drops and DRAM spikes (``+faults=ci``), under the online
+  ``round-robin``, ``steal`` and ``random`` dispatch policies, and under
+  the structure-reading ``critical-path``, ``steal-tuned`` and
+  ``block-partition`` policies (``+policy=<name>``);
 - a fixed list of seeded random programs on seeded random machine
   configurations (``random-program-NN``), Delta and the static baseline.
 
@@ -74,7 +75,8 @@ VARIANTS: dict[str, Callable[[MachineConfig], MachineConfig]] = {
     "+faults=ci": lambda config: config.with_faults(
         FaultPlan.from_json(CI_FAULT_PLAN)),
     **{f"+policy={policy}": partial(MachineConfig.with_policy, policy=policy)
-       for policy in ("round-robin", "steal", "random")},
+       for policy in ("round-robin", "steal", "random", "critical-path",
+                      "steal-tuned", "block-partition")},
 }
 
 #: How many seeded random-program points the matrix carries.
