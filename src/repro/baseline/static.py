@@ -13,11 +13,11 @@ design* — identical lanes, scratchpads, NoC and DRAM (the shared
   task* (no multicast), and inter-task data always takes the
   DRAM round trip (producer writes, consumer re-reads).
 
-The task set itself is identical to what Delta executes: the program is
-elaborated once through :func:`repro.graph.recover_structure` (the same
-functional expansion, plus validation and typed edges) and the baseline
-partitions the IR's barrier phases. That sharing is what makes the
-comparison apples-to-apples.
+The task set itself is identical to what Delta executes: both replay the
+program's one functional elaboration (memoized on the program), which
+:func:`repro.graph.recover_structure` turns into a validated, typed task
+graph, and the baseline partitions the IR's barrier phases. That sharing
+is what makes the comparison apples-to-apples.
 """
 
 from __future__ import annotations
@@ -61,10 +61,12 @@ class StaticParallel:
         block/cyclic splitters, bit-identical to the pre-seam baseline.
         """
         graph = recover_structure(program)
+        graph.expanded.reset_run_flags()
         policy = create_policy(self.config.dispatch.policy)
         policy.bind(self.config.dispatch, self.config.lanes,
                     features=self.config.features)
-        policy.attach(hints_from_graph(graph))
+        if policy.uses_structure:
+            policy.attach(hints_from_graph(graph))
         machine = Machine.build(self.config,
                                 tracer=Tracer() if trace else NullTracer(),
                                 multicast_enabled=False)

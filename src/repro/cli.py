@@ -280,9 +280,10 @@ def _cmd_run(args) -> int:
             config = config.with_faults(plan)
         sched_hints = None
         if policy_uses_structure(args.policy):
-            from repro.sched.structure import hints_from_factory
+            from repro.graph import recover_structure
+            from repro.sched.structure import hints_from_graph
 
-            sched_hints = hints_from_factory(workload.build_program)
+            sched_hints = hints_from_graph(recover_structure(program))
         result = Delta(config).run(program, trace=bool(args.trace),
                                    sched_hints=sched_hints)
     else:

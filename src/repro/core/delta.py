@@ -15,9 +15,9 @@ The run loop:
 1. Initial tasks are submitted to the :class:`~repro.core.dispatcher.
    Dispatcher`, which tracks readiness and places ready tasks on lane
    queues under the configured balancing policy.
-2. Each lane runs a worker process: pop a task, reconfigure if needed, run
-   the functional kernel (which spawns children), set up data movement,
-   and execute the compute pipeline.
+2. Each lane runs a worker process: pop a task, reconfigure if needed,
+   submit the children the task spawned, set up data movement, and
+   execute the compute pipeline.
 3. Data movement exploits recovered structure where the feature flags
    allow: shared reads go through the multicast manager; producer→consumer
    streams bypass DRAM through lane-to-lane channels; everything else
@@ -25,6 +25,12 @@ The run loop:
 
 Every mechanism is gated by :class:`~repro.arch.config.FeatureFlags`, which
 is how the ablation experiments (figure F2) switch them off one by one.
+
+Delta is a pure timing model: it never runs a kernel. The program's one
+functional elaboration (:func:`~repro.core.program.expand_program`,
+memoized on the program) recorded each task's children, and a task's
+start replays them. Several runs — Delta, the static baseline, Delta
+again — can therefore share one program.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from repro.arch.lane import Lane
 from repro.arch.noc import MEM_NODE
 from repro.core.dispatcher import Dispatcher
 from repro.core.multicast import MulticastManager
-from repro.core.program import Program
-from repro.core.task import Task, run_kernel
+from repro.core.program import Program, expand_program
+from repro.core.task import Task
 from repro.machine import ExecutionStalled, Machine, RunResult, RunSession
 from repro.sched.api import StructureHints
 from repro.sim import Store
@@ -85,9 +91,9 @@ class Delta:
         default), timing is bit-identical to the fixed-window design.
 
         ``sched_hints`` (see :mod:`repro.sched.structure`) feeds the
-        dispatch policy's structure attach point. Hints must come from a
-        **twin** program build — recovering structure executes kernels —
-        and are only worth computing when
+        dispatch policy's structure attach point. They may be recovered
+        from ``program`` itself — recovery and this run replay the same
+        memoized elaboration — and are only worth computing when
         :func:`~repro.sched.api.policy_uses_structure` says the
         configured policy reads them.
         """
@@ -108,6 +114,10 @@ class _DeltaRun:
         self.machine = machine
         self.config = machine.config
         self.program = program
+        expanded = expand_program(program)
+        expanded.reset_run_flags()
+        #: task id -> the children its kernel spawned, in spawn order.
+        self._children = expanded.children
         self.tracer = machine.tracer
         self.env = machine.env
         self.metrics = machine.metrics
@@ -257,15 +267,10 @@ class _DeltaRun:
                              t_begin, self.env.now)
         self.metrics.tasks.add(task.type.name)
 
-        # Functional execution: the kernel does the real computation and
-        # spawns children. It must run *before* the started event fires —
-        # stream consumers become ready on producer start, and their
-        # kernels may read state this kernel writes.
-        spawned = run_kernel(task, self.program.state)
         self.dispatcher.task_started(task)
-        # Submitting spawns immediately lets pipelined consumers
-        # co-schedule with their producers.
-        for child in spawned:
+        # Submitting the recorded children at start lets pipelined
+        # consumers co-schedule with their producers.
+        for child in self._children[task.task_id]:
             self.dispatcher.submit(child)
 
         if self.injector.enabled:
@@ -512,8 +517,9 @@ class _DeltaRun:
         nominal compute time plus the policy backoff — as *idle* lane
         time, since only the final successful pass drives the fabric (the
         work-accounting invariant holds without exemptions).  The kernel's
-        functional effects stand from the first pass; re-execution is a
-        timing event, so degraded runs stay functionally correct.
+        functional effects come from the program's one elaboration;
+        re-execution is a timing event, so degraded runs stay functionally
+        correct.
         """
         nominal = (0.0 if task.trips <= 0
                    else float(mapping.depth + mapping.ii * task.trips))

@@ -1,21 +1,24 @@
 """A task-parallel program: types, shared state, and the initial task set.
 
-Programs are built fresh per simulation run (the functional kernels mutate
-``state``), so workloads expose ``build_program()`` factories rather than
-module-level singletons.
+The functional kernels mutate ``state``, so workloads expose
+``build_program()`` factories rather than module-level singletons.
 
-:func:`expand_program` runs the whole spawn tree functionally *without*
-timing. The static-parallel baseline uses it to obtain the complete task
-set grouped into barrier-separated phases (by spawn depth) — exactly what a
-static-parallel implementation of the same program would look like. It is
-also useful for workload statistics (table T2).
+:func:`expand_program` is the program's one functional execution: it runs
+every kernel exactly once, breadth-first and without timing, and records
+the whole spawn tree. The result is memoized on the :class:`Program`, so
+every consumer replays the same elaboration instead of re-running kernels
+over already-mutated state: Delta submits each task's recorded children
+when the task starts, the static-parallel baseline partitions the
+barrier-separated phases (tasks grouped by spawn depth), and the graph
+layer derives its typed IR from it. It is also what workload statistics
+(table T2) count.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.task import Task, TaskType, run_kernel
 
@@ -28,6 +31,9 @@ class Program:
     state: Any
     initial_tasks: list[Task]
     task_types: list[TaskType] = field(default_factory=list)
+    #: The memoized functional elaboration (see :func:`expand_program`).
+    _expansion: Optional["ExpandedProgram"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.initial_tasks:
@@ -39,11 +45,16 @@ class Program:
 
 @dataclass
 class ExpandedProgram:
-    """The fully elaborated task graph of one program run."""
+    """The fully elaborated task graph of one program run.
+
+    ``children`` maps each task id to the tasks its kernel spawned, in
+    spawn order — the spawn tree the timing models replay.
+    """
 
     program: Program
     tasks: list[Task]
     phases: list[list[Task]]
+    children: dict[int, list[Task]]
 
     @property
     def total_work(self) -> float:
@@ -55,28 +66,49 @@ class ExpandedProgram:
         """Number of tasks in the full expansion."""
         return len(self.tasks)
 
+    def reset_run_flags(self) -> None:
+        """Clear the per-run flags a timing model sets on each task
+        (``started``, ``completed``, ``lane_id``), so several timing runs
+        can replay one elaboration."""
+        for task in self.tasks:
+            task.started = False
+            task.completed = False
+            task.lane_id = None
+
 
 def expand_program(program: Program) -> ExpandedProgram:
     """Run every kernel functionally (no timing), collecting all tasks.
 
     Tasks execute in breadth-first spawn order, which respects ``after``
     and ``stream_from`` dependences because a child is always created by
-    (and ordered after) its producers' spawner. Phases group tasks by
-    dependence depth: phase k contains every task with ``depth == k``,
-    which is the barrier structure a static-parallel port would use.
+    (and ordered after) its producers' spawner. A task listed or spawned
+    twice is kept in the task list (graph validation reports it) but its
+    kernel never runs twice. Phases group tasks by dependence depth:
+    phase k contains every task with ``depth == k``, which is the barrier
+    structure a static-parallel port would use.
+
+    Memoized on ``program``: the first call mutates ``program.state``,
+    every later call returns the same expansion without running a kernel.
     """
+    if program._expansion is not None:
+        return program._expansion
     queue = deque(program.initial_tasks)
     all_tasks: list[Task] = []
+    children: dict[int, list[Task]] = {}
     while queue:
         task = queue.popleft()
         all_tasks.append(task)
-        for child in run_kernel(task, program.state):
-            queue.append(child)
+        if task.task_id in children:
+            continue
+        spawned = children[task.task_id] = run_kernel(task, program.state)
+        queue.extend(spawned)
     max_depth = max(t.depth for t in all_tasks)
     phases: list[list[Task]] = [[] for _ in range(max_depth + 1)]
     for task in all_tasks:
         phases[task.depth].append(task)
-    return ExpandedProgram(program, all_tasks, phases)
+    program._expansion = ExpandedProgram(program, all_tasks, phases,
+                                         children)
+    return program._expansion
 
 
 def partition_block(tasks: Sequence[Task], lanes: int) -> list[list[Task]]:

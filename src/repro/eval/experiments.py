@@ -175,12 +175,13 @@ def f2_ablation(lanes: int = 8,
     per_step: dict[str, list[float]] = {}
     rows = []
     for w in workloads:
-        static_cycles = StaticParallel(static_cfg).run(
-            w.build_program()).cycles
+        program = w.build_program()
+        static_cycles = StaticParallel(static_cfg).run(program).cycles
+        w.check(program.state)
         row = [w.name]
         for label, flags in ABLATION_STEPS:
             delta_cfg = default_delta_config(lanes=lanes, features=flags)
-            cycles = Delta(delta_cfg).run(w.build_program()).cycles
+            cycles = Delta(delta_cfg).run(program).cycles
             speedup = static_cycles / cycles
             per_step.setdefault(label, []).append(speedup)
             row.append(f"{speedup:.2f}x")
@@ -325,18 +326,19 @@ def f7_policies(lanes: int = 8,
     rows = []
     per_policy: dict[str, list[float]] = {p: [] for p in POLICY_NAMES}
     for name in workload_names:
+        w = get_workload(name)
+        program = w.build_program()
         base = None
         row = [name]
         for policy in POLICY_NAMES:
-            w = get_workload(name)
             cfg = default_delta_config(lanes=lanes).with_policy(policy)
-            result = Delta(cfg).run(w.build_program())
-            w.check(result.state)
+            result = Delta(cfg).run(program)
             if base is None:
                 base = result.cycles
             relative = base / result.cycles
             per_policy[policy].append(relative)
             row.append(f"{result.cycles:,.0f} ({relative:.2f}x)")
+        w.check(program.state)
         rows.append(row)
     text = format_table(
         ["workload"] + [f"{p}" for p in POLICY_NAMES], rows,
@@ -421,11 +423,11 @@ def f9_extensions(lanes: int = 8) -> ExperimentResult:
     cfg = dataclasses.replace(
         cfg, lane=dataclasses.replace(cfg.lane, config_cycles=512,
                                       config_cache_entries=1))
-    base = Delta(cfg).run(thrash.build_program())
-    thrash.check(base.state)
+    program = thrash.build_program()
+    base = Delta(cfg).run(program)
+    thrash.check(program.state)
     aff_cfg = cfg.with_features(FeatureFlags(config_affinity=True))
-    aff = Delta(aff_cfg).run(thrash.build_program())
-    thrash.check(aff.state)
+    aff = Delta(aff_cfg).run(program)
 
     def misses(result):
         return sum(lane.config_misses
@@ -438,13 +440,12 @@ def f9_extensions(lanes: int = 8) -> ExperimentResult:
 
     # Prefetch regime: many small latency-bound tasks, DRAM mostly idle.
     stream = UniformTasks(num_tasks=64, trips=96)
-    pf_base = Delta(default_delta_config(lanes=lanes)).run(
-        stream.build_program())
-    stream.check(pf_base.state)
+    program = stream.build_program()
+    pf_base = Delta(default_delta_config(lanes=lanes)).run(program)
+    stream.check(program.state)
     pf_cfg = default_delta_config(
         lanes=lanes, features=FeatureFlags(prefetch=True))
-    pf = Delta(pf_cfg).run(stream.build_program())
-    stream.check(pf.state)
+    pf = Delta(pf_cfg).run(program)
     rows.append(["prefetch", "uniform (latency-bound)",
                  f"{pf_base.cycles:,.0f}", f"{pf.cycles:,.0f}",
                  f"{pf_base.cycles / pf.cycles:.2f}x",
@@ -485,11 +486,11 @@ def f10_software_runtime(lanes: int = 8,
     vs_software = []
     software_vs_static = []
     for w in workloads:
-        delta = Delta(delta_cfg).run(w.build_program())
-        w.check(delta.state)
-        software = SoftwareRuntime(delta_cfg).run(w.build_program())
-        w.check(software.state)
-        static = StaticParallel(static_cfg).run(w.build_program())
+        program = w.build_program()
+        delta = Delta(delta_cfg).run(program)
+        w.check(program.state)
+        software = SoftwareRuntime(delta_cfg).run(program)
+        static = StaticParallel(static_cfg).run(program)
         ratio = software.cycles / delta.cycles
         vs_software.append(ratio)
         software_vs_static.append(static.cycles / software.cycles)
@@ -510,8 +511,10 @@ def f10_software_runtime(lanes: int = 8,
     grain_ratios = []
     for rpt in grains:
         w = SpmvWorkload(rows_per_task=rpt)
-        delta = Delta(delta_cfg).run(w.build_program())
-        software = SoftwareRuntime(delta_cfg).run(w.build_program())
+        program = w.build_program()
+        delta = Delta(delta_cfg).run(program)
+        w.check(program.state)
+        software = SoftwareRuntime(delta_cfg).run(program)
         grain_ratios.append(software.cycles / delta.cycles)
     sweep = series_table("rows/task", grains,
                          {"delta-advantage": grain_ratios},
@@ -616,14 +619,15 @@ def a1_design_sensitivity(lanes: int = 8) -> ExperimentResult:
     windows = [0, 8, 16, 32, 64, 128]
     window_cycles = []
     window_fetches = []
+    w = SharedReadTasks(num_tasks=32, region_bytes=8192)
+    program = w.build_program()
     for window in windows:
         cfg = dataclasses.replace(default_delta_config(lanes=lanes),
                                   mcast_window=window)
-        w = SharedReadTasks(num_tasks=32, region_bytes=8192)
-        result = Delta(cfg).run(w.build_program())
-        w.check(result.state)
+        result = Delta(cfg).run(program)
         window_cycles.append(result.cycles)
         window_fetches.append(result.metrics.mcast.fetches)
+    w.check(program.state)
     sections.append(series_table(
         "window", windows,
         {"cycles": window_cycles, "fetches": window_fetches},
@@ -632,15 +636,15 @@ def a1_design_sensitivity(lanes: int = 8) -> ExperimentResult:
     # 2. Stream chunk size.
     chunks = [64, 128, 256, 512, 1024]
     chunk_cycles = []
+    w = SpmvWorkload()
+    program = w.build_program()
     for chunk in chunks:
         cfg = default_delta_config(lanes=lanes)
         cfg = dataclasses.replace(
             cfg, lane=dataclasses.replace(cfg.lane,
                                           stream_chunk_bytes=chunk))
-        w = SpmvWorkload()
-        result = Delta(cfg).run(w.build_program())
-        w.check(result.state)
-        chunk_cycles.append(result.cycles)
+        chunk_cycles.append(Delta(cfg).run(program).cycles)
+    w.check(program.state)
     sections.append(series_table(
         "chunk B", chunks, {"cycles": chunk_cycles},
         title="A1b: stream chunk size (spmv)"))
@@ -648,15 +652,15 @@ def a1_design_sensitivity(lanes: int = 8) -> ExperimentResult:
     # 3. Dispatcher queue depth.
     depths = [1, 2, 4, 8, 16]
     depth_cycles = []
+    w = SkewedTasks()
+    program = w.build_program()
     for depth in depths:
         cfg = default_delta_config(lanes=lanes)
         cfg = dataclasses.replace(
             cfg, dispatch=dataclasses.replace(cfg.dispatch,
                                               queue_depth=depth))
-        w = SkewedTasks()
-        result = Delta(cfg).run(w.build_program())
-        w.check(result.state)
-        depth_cycles.append(result.cycles)
+        depth_cycles.append(Delta(cfg).run(program).cycles)
+    w.check(program.state)
     sections.append(series_table(
         "queue depth", depths, {"cycles": depth_cycles},
         title="A1c: dispatch queue depth (micro-skewed)"))

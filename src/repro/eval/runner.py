@@ -1,8 +1,9 @@
 """Run one workload on both machines and compare.
 
-This is the core evaluation loop: build a fresh program for each machine
-(kernels mutate state), simulate, verify functional results against the
-workload's reference implementation, and return both run results.
+This is the core evaluation loop: build the program once, simulate it on
+both machines — pure timing replays of the program's one functional
+elaboration — verify that state once against the workload's reference
+implementation, and return both run results.
 
 Sweeps go through :func:`run_suite`, which can fan points out over worker
 processes and serve repeats from the on-disk result cache (see
@@ -29,8 +30,11 @@ from repro.arch.config import (
 )
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
+from repro.core.program import expand_program
 from repro.core.result import RunResult
+from repro.graph.ir import recover_structure
 from repro.sched import policy_uses_structure
+from repro.sched.structure import hints_from_graph
 from repro.util.stats import geomean
 from repro.workloads import all_workloads
 from repro.workloads.base import Workload
@@ -116,6 +120,11 @@ def compare(workload: Workload,
     A derived static config inherits ``delta_config.sanitize`` and
     ``delta_config.faults``, so one flag (or one fault plan) covers the
     whole comparison.
+
+    The program is built and elaborated once; both machines replay that
+    elaboration, and ``verify`` checks its state once. Either machine
+    retiring a different number of tasks than the elaboration holds
+    raises, verified or not.
     """
     global _simulations
     delta_config = delta_config or default_delta_config()
@@ -128,21 +137,22 @@ def compare(workload: Workload,
             static_config = static_config.with_faults(delta_config.faults)
 
     _simulations += 1
+    program = workload.build_program()
     sched_hints = None
     if policy_uses_structure(delta_config.dispatch.policy):
-        # Structure-aware policies read hints recovered from a twin
-        # build (recovery executes kernels, so it must never touch the
-        # instance that will simulate). Online policies skip the cost.
-        from repro.sched.structure import hints_from_factory
-
-        sched_hints = hints_from_factory(workload.build_program)
-    delta_result = Delta(delta_config).run(workload.build_program(),
-                                           sched_hints=sched_hints)
-    static_result = StaticParallel(static_config).run(
-        workload.build_program())
+        # Online policies skip the cost of digesting the structure.
+        sched_hints = hints_from_graph(recover_structure(program))
+    delta_result = Delta(delta_config).run(program, sched_hints=sched_hints)
+    static_result = StaticParallel(static_config).run(program)
+    elaborated = expand_program(program).task_count
+    for result in (delta_result, static_result):
+        if result.tasks_executed != elaborated:
+            raise RuntimeError(
+                f"{workload.name}: the {result.machine} run retired "
+                f"{result.tasks_executed} tasks, but the program "
+                f"elaborates {elaborated}")
     if verify:
-        workload.check(delta_result.state)
-        workload.check(static_result.state)
+        workload.check(program.state)
     return Comparison(workload.name, delta_result, static_result)
 
 

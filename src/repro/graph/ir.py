@@ -1,9 +1,9 @@
 """The TaskGraph IR: one program's recovered inter-task structure.
 
-:func:`recover_structure` elaborates a program exactly once — the same
-functional pass :func:`repro.core.program.expand_program` performs (every
-kernel runs, mutating program state and spawning children) — and records
-what the legacy expansion threw away: *typed* dependence edges.
+:func:`recover_structure` reads a program's one functional elaboration —
+:func:`repro.core.program.expand_program`, memoized on the program, which
+runs every kernel once and records the spawn tree — and derives *typed*
+dependence edges from it. It runs no kernel itself.
 
 - ``AFTER``  — completion ordering (``after=[...]`` at spawn).
 - ``STREAM`` — pipelined producer→consumer streams (``stream_from=[...]``);
@@ -19,8 +19,8 @@ accepted and the runtimes then stalled on — raise a diagnostic
 cycles, and non-finite or negative work estimates.
 
 Legacy consumers keep working: :meth:`TaskGraph.phases` and
-:meth:`TaskGraph.as_expanded` are views that reproduce the
-barrier-phase structure of ``expand_program`` bit-for-bit.
+:meth:`TaskGraph.as_expanded` hand back the elaboration's own
+barrier-phase structure.
 """
 
 from __future__ import annotations
@@ -29,13 +29,10 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Optional
 
-from repro.core.program import ExpandedProgram, Program
-from repro.core.task import Task, run_kernel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
+from repro.core.program import ExpandedProgram, Program, expand_program
+from repro.core.task import Task
 
 
 class GraphValidationError(ValueError):
@@ -62,15 +59,18 @@ class Edge:
 class TaskGraph:
     """The fully elaborated, typed task graph of one program run.
 
-    ``tasks`` is in spawn (BFS) order — the order the legacy expansion
-    produced. Adjacency is exposed as ``predecessors``/``successors``
-    (task id → list of ``(task id, EdgeKind)``).
+    A typed view over the program's one elaboration: ``tasks`` is in
+    spawn (BFS) order, exactly as :func:`~repro.core.program.
+    expand_program` produced it. Adjacency is exposed as
+    ``predecessors``/``successors`` (task id → list of
+    ``(task id, EdgeKind)``).
     """
 
-    def __init__(self, program: Program, tasks: list[Task],
+    def __init__(self, expanded: ExpandedProgram,
                  edges: list[Edge]) -> None:
-        self.program = program
-        self.tasks = tasks
+        self.expanded = expanded
+        self.program = expanded.program
+        self.tasks = tasks = expanded.tasks
         self.edges = edges
         self.nodes: dict[int, Task] = {t.task_id: t for t in tasks}
         self.predecessors: dict[int, list[tuple[int, EdgeKind]]] = {
@@ -114,20 +114,14 @@ class TaskGraph:
 
     @property
     def phases(self) -> list[list[Task]]:
-        """Barrier phases (tasks grouped by dependence depth, spawn order).
-
-        Identical to the ``phases`` the legacy ``expand_program`` computed;
-        the static-parallel baseline partitions exactly these lists.
-        """
-        max_depth = max(t.depth for t in self.tasks)
-        phases: list[list[Task]] = [[] for _ in range(max_depth + 1)]
-        for task in self.tasks:
-            phases[task.depth].append(task)
-        return phases
+        """Barrier phases (tasks grouped by dependence depth, spawn order):
+        the elaboration's own, which the static-parallel baseline
+        partitions."""
+        return self.expanded.phases
 
     def as_expanded(self) -> ExpandedProgram:
-        """The legacy :class:`ExpandedProgram` view over this IR."""
-        return ExpandedProgram(self.program, list(self.tasks), self.phases)
+        """The elaboration this IR is a typed view over."""
+        return self.expanded
 
     # -- ordering ------------------------------------------------------------
 
@@ -201,51 +195,37 @@ class TaskGraph:
         return self
 
 
-def _typed_edges(tasks: Iterable[Task],
-                 spawns: list[tuple[int, int]]) -> list[Edge]:
-    """Derive the typed edge list from task fields plus recorded spawns."""
+def _typed_edges(expanded: ExpandedProgram) -> list[Edge]:
+    """Derive the typed edge list from task fields plus the spawn tree."""
     edges: list[Edge] = []
-    for task in tasks:
+    for task in expanded.tasks:
         for dep in task.after:
             edges.append(Edge(dep.task_id, task.task_id, EdgeKind.AFTER))
         for producer in task.stream_from:
             edges.append(Edge(producer.task_id, task.task_id,
                               EdgeKind.STREAM))
-    edges.extend(Edge(src, dst, EdgeKind.SPAWN) for src, dst in spawns)
+    for parent, children in expanded.children.items():
+        edges.extend(Edge(parent, child.task_id, EdgeKind.SPAWN)
+                     for child in children)
     return edges
 
 
 def recover_structure(program: Program,
                       validate: bool = True) -> TaskGraph:
-    """Elaborate ``program`` once and recover its full typed task graph.
+    """Recover ``program``'s full typed task graph.
 
-    Runs every kernel functionally (no timing) in the same breadth-first
-    spawn order as :func:`repro.core.program.expand_program` — kernels
-    mutate ``program.state``, so call this on a *fresh* program instance —
-    while additionally recording spawn edges, then derives the typed
-    dependence edges from the task annotations.
+    The tasks and spawn edges come from the program's one functional
+    elaboration (:func:`repro.core.program.expand_program`, memoized on
+    ``program``: the first caller runs the kernels, every later caller —
+    a timing model, another recovery — reuses them). The typed
+    dependence edges derive from the task annotations.
 
     With ``validate=True`` (the default) the graph is checked before it is
     returned; malformed programs raise :class:`GraphValidationError` with
     a diagnostic instead of expanding silently.
     """
-    queue = deque(program.initial_tasks)
-    tasks: list[Task] = []
-    spawns: list[tuple[int, int]] = []
-    expanded_ids: set[int] = set()
-    while queue:
-        task = queue.popleft()
-        if task.task_id in expanded_ids:
-            # Preserve the task list (validation reports the duplicate)
-            # without running the kernel twice.
-            tasks.append(task)
-            continue
-        expanded_ids.add(task.task_id)
-        tasks.append(task)
-        for child in run_kernel(task, program.state):
-            spawns.append((task.task_id, child.task_id))
-            queue.append(child)
-    graph = TaskGraph(program, tasks, _typed_edges(tasks, spawns))
+    expanded = expand_program(program)
+    graph = TaskGraph(expanded, _typed_edges(expanded))
     if validate:
         graph.validate()
     return graph

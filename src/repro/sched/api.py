@@ -19,10 +19,9 @@ the policy a first-class, pluggable object:
 - :class:`StructureHints` — the pure-data digest of a recovered
   :class:`~repro.graph.ir.TaskGraph` that structure-aware policies
   consume. Hints are keyed by *stable* task coordinates (type name ×
-  dependence depth), never by task ids: ids are process-global, so a
-  twin ``build_program()`` instance — which is where hints must come
-  from, since recovering structure executes kernels — numbers its tasks
-  differently.
+  dependence depth), never by task ids: ids are process-global, so hints
+  stay valid for any ``build_program()`` instance of the same workload,
+  not only for the one whose elaboration they were recovered from.
 
 This module deliberately imports nothing above :mod:`repro.util` at
 module scope so that :mod:`repro.core` can depend on the seam without a
@@ -55,8 +54,7 @@ __all__ = [
 
 #: A stable task coordinate: (task type name, dependence depth). Unlike
 #: ``task_id`` (a process-global counter) this survives rebuilding the
-#: program, which hint recovery must do — running the kernels mutates
-#: program state, so hints always come from a *twin* build.
+#: program.
 TaskKey = tuple[str, int]
 
 
@@ -124,7 +122,7 @@ class SchedulingPolicy:
     #: Registry key; also the ``DispatchConfig.policy`` spelling.
     name = ""
     #: Whether :meth:`attach` benefits from recovered-structure hints
-    #: (drives whether callers pay the twin-build recovery).
+    #: (drives whether callers pay for digesting the recovered graph).
     uses_structure = False
     #: Whether idle lanes should attempt steals under this policy.
     steals = False
@@ -287,7 +285,7 @@ def create_policy(name: str) -> SchedulingPolicy:
 
 def policy_uses_structure(name: str) -> bool:
     """Whether ``name`` wants recovered-structure hints attached (lets
-    callers skip the twin-build recovery for online-only policies)."""
+    callers skip digesting the structure for online-only policies)."""
     _ensure_builtins()
     cls = _REGISTRY.get(name)
     return bool(cls is not None and cls.uses_structure)

@@ -4,17 +4,15 @@ The bridge between the graph layer and structure-aware policies. Two
 entry points:
 
 - :func:`hints_from_graph` — digest an already-recovered
-  :class:`~repro.graph.ir.TaskGraph` (the static baseline, which holds
-  one anyway).
-- :func:`hints_from_factory` — build a **twin** program instance and
-  recover its structure. This is the path dynamic (Delta) runs must use:
-  :func:`~repro.graph.ir.recover_structure` executes the kernels
-  functionally and mutates program state, so it must never run on the
-  same program instance the simulator will execute. The twin's task ids
-  differ (ids are process-global), which is why hints key on stable
-  (type name, depth) coordinates rather than ids or names.
-
-Recovery failures degrade to ``None`` — every policy works hint-free.
+  :class:`~repro.graph.ir.TaskGraph`. Recovery reads the program's one
+  memoized elaboration, so the graph may come from the very program the
+  timing models then replay: ``hints_from_graph(recover_structure(p))``
+  is what ``compare()`` and ``repro run`` feed Delta.
+- :func:`hints_from_factory` — recover hints from a separately built
+  program instance. Its task ids differ (ids are process-global), which
+  is why hints key on stable (type name, depth) coordinates rather than
+  ids or names. Recovery failures degrade to ``None`` — every policy
+  works hint-free.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ def hints_from_graph(graph: TaskGraph) -> StructureHints:
 
 def hints_from_factory(build_program: Callable[[], object],
                        ) -> Optional[StructureHints]:
-    """Recover hints from a twin program instance, or None on failure.
+    """Recover hints from a fresh program instance, or None on failure.
 
     ``build_program`` is any zero-argument factory returning a fresh
     :class:`~repro.core.program.Program` (e.g. a workload's

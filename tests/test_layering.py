@@ -94,6 +94,20 @@ class TestRepositoryLayering:
                                              "repro.sched.structure"))]
             assert not offending, f"{path.name}: {offending}"
 
+    def test_only_the_elaboration_runs_kernels(self):
+        # Functional once, timing many: the program's one breadth-first
+        # elaboration is the only caller of run_kernel; the timing models
+        # and the graph layer replay it.
+        callers = set()
+        for path in (SRC_ROOT / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name == "run_kernel":
+                        callers.add(path.relative_to(SRC_ROOT).as_posix())
+        assert callers == {"repro/core/program.py"}
+
     def test_sched_edges_are_enforced_by_the_checker(self):
         checker = load_checker()
         forbidden_pairs = {(src, dst) for src, dst, _ in

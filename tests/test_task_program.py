@@ -146,6 +146,39 @@ class TestExpansion:
         assert expanded.task_count == 7
         assert state["count"] == 7
 
+    def test_expansion_is_memoized_with_its_spawn_tree(self):
+        state = {"count": 0}
+
+        def kernel(ctx, args):
+            ctx.state["count"] += 1
+            if args["level"] < 1:
+                ctx.spawn(tt, {"level": 1, "n": 0})
+                ctx.spawn(tt, {"level": 1, "n": 1})
+
+        tt = TaskType("tree", dot_product_dfg("tree"), kernel,
+                      trips=lambda args: 1)
+        root = tt.instantiate({"level": 0})
+        program = Program("p", state, [root])
+        expanded = expand_program(program)
+        assert expand_program(program) is expanded
+        assert state["count"] == 3  # the second call ran no kernel
+        assert [c.args["n"] for c in expanded.children[root.task_id]] \
+            == [0, 1]
+        assert all(expanded.children[c.task_id] == []
+                   for c in expanded.children[root.task_id])
+
+    def test_duplicate_task_kernel_runs_once(self):
+        state = {"count": 0}
+
+        def kernel(ctx, args):
+            ctx.state["count"] += 1
+
+        task = TaskType("dup", dot_product_dfg("dup"), kernel,
+                        trips=lambda args: 1).instantiate()
+        expanded = expand_program(Program("p", state, [task, task]))
+        assert expanded.tasks == [task, task]
+        assert state["count"] == 1
+
     def test_expand_phases_group_by_depth(self):
         def kernel(ctx, args):
             if args["level"] < 1:

@@ -111,8 +111,8 @@ FORBIDDEN_EDGES: list[tuple[str, str, str]] = [
     ("repro.core", "repro.sched.policies",
      "core may use the sched API only, never policy implementations"),
     ("repro.core", "repro.sched.structure",
-     "hint recovery runs above core (twin builds); core only carries "
-     "hints opaquely"),
+     "hints are digested from the recovered graph above core; core only "
+     "carries them opaquely"),
     # The store layer: util < store < everything that caches. The store
     # imports only util; of the layers below the harness, only the cache
     # schemas (eval/cache.py, graph/cache.py) and the CLI consume it —
