@@ -9,7 +9,7 @@ a FIFO server, so cross-lane bandwidth contention is emergent.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.sim import BandwidthServer, Counters, Environment, Event
 from repro.sim.engine import SimulationError
@@ -37,11 +37,38 @@ class Dram:
         """Read ``nbytes``; ``locality`` in [0, 1] scales the row penalty."""
         return self._request(nbytes, locality, "read")
 
-    def writeback(self, nbytes: float, locality: float = 1.0) -> Event:
-        """Write ``nbytes`` to memory."""
-        return self._request(nbytes, locality, "write")
+    def fetch_then(self, nbytes: float, locality: float,
+                   then: Callable[[Any], None]) -> None:
+        """:meth:`fetch`, calling ``then`` on completion from a bare call
+        slot (see :meth:`BandwidthServer.transfer_then`)."""
+        self._request_then(nbytes, locality, "read", then)
+
+    def writeback_then(self, nbytes: float, locality: float,
+                       then: Callable[[Any], None]) -> None:
+        """Write ``nbytes`` to memory, calling ``then`` on completion from
+        a bare call slot."""
+        self._request_then(nbytes, locality, "write", then)
 
     def _request(self, nbytes: float, locality: float, kind: str) -> Event:
+        served = self.channel.transfer(self._account(nbytes, locality, kind))
+        if self.injector.enabled:
+            spike = self.injector.dram_spike(self.env.now)
+            if spike > 0.0:
+                return self._spiked(served, spike)
+        return served
+
+    def _request_then(self, nbytes: float, locality: float, kind: str,
+                      then: Callable[[Any], None]) -> None:
+        if self.injector.enabled:
+            # A spiked response is an event chain; a lone callback on it
+            # runs in the same slot the call slot would take.
+            self._request(nbytes, locality, kind).add_callback(then)
+        else:
+            self.channel.transfer_then(
+                self._account(nbytes, locality, kind), then)
+
+    def _account(self, nbytes: float, locality: float, kind: str) -> float:
+        """Validate and count one request; return its effective size."""
         if not 0.0 <= locality <= 1.0:
             raise SimulationError(f"locality must be in [0,1]: {locality}")
         if nbytes < 0:
@@ -51,12 +78,7 @@ class Dram:
         self.counters.add(f"dram.{kind}_bytes", nbytes)
         self.counters.add(f"dram.{kind}_effective_bytes", effective)
         self.counters.add("dram.requests")
-        served = self.channel.transfer(effective)
-        if self.injector.enabled:
-            spike = self.injector.dram_spike(self.env.now)
-            if spike > 0.0:
-                return self._spiked(served, spike)
-        return served
+        return effective
 
     def _spiked(self, served: Event, spike: float) -> Event:
         """Delay one response by a spike; the requester simply waits —

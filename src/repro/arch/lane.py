@@ -8,6 +8,11 @@ metrics.
 The lane is execution-model agnostic — both the Delta runtime and the
 static-parallel baseline drive lanes through the same interface, which is
 what makes the comparison "equivalent" in the paper's sense.
+
+Compute is a continuation chain on the event kernel rather than a
+generator process: :meth:`Lane.run_pipeline` returns one completion event
+that the executing task waits on, and its steps run from call slots and
+store callbacks at the queue positions a process would have resumed at.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from repro.arch.mapper import Mapper, Mapping
 from repro.arch.noc import Noc
 from repro.arch.spad import Scratchpad
 from repro.arch.stream_engine import StreamEngine
-from repro.sim import Counters, Environment, Store, UtilizationTracker
+from repro.sim import (Counters, Environment, Event, Store,
+                       UtilizationTracker)
 from repro.sim.sanitize import NULL_SANITIZER, Sanitizer
 
 
@@ -91,7 +97,7 @@ class Lane:
     def run_pipeline(self, mapping: Mapping, trips: int,
                      in_streams: Optional[list[tuple[Store, int]]] = None,
                      out_stores: Optional[list[Store]] = None,
-                     close_outputs: bool = True) -> Generator:
+                     close_outputs: bool = True) -> Event:
         """Execute the configured pipeline for ``trips`` loop iterations.
 
         ``in_streams`` pairs each input store with its expected total chunk
@@ -104,50 +110,105 @@ class Lane:
 
         Each step advances the clock by ``II * step_trips`` cycles and
         emits one token per output store. Busy time accrues only for
-        fabric-active cycles, not input stalls.
+        fabric-active cycles, not input stalls. Returns the event that
+        fires when the last step has emitted.
+
+        The pipeline is a continuation chain, not a process: a bootstrap
+        call slot at ``now``, one call slot per timed stretch (the fill,
+        then each step's compute) at ``now + cycles`` as a Timeout would
+        take, a callback on each store operation, and the returned event.
+        Those are the queue positions a generator process took, so timing
+        is bit-identical without a generator frame per task.
         """
+        env = self.env
+        done = Event(env, "pipeline")
         in_streams = in_streams or []
         out_stores = out_stores or []
-        if trips <= 0:
-            for store in out_stores:
-                if close_outputs:
+
+        def close() -> None:
+            if close_outputs:
+                for store in out_stores:
                     store.close()
-            return
+            done.succeed()
+
+        if trips <= 0:
+            env._schedule_call(lambda _arg: close())
+            return done
         chunk_elems = max(
             1, self.config.stream_chunk_bytes // self.element_bytes)
         steps = -(-trips // chunk_elems)  # ceil
         consumed = [0] * len(in_streams)
         live = [total > 0 for _store, total in in_streams]
-        done_trips = 0
-        # Pipeline fill: depth cycles before the first result emerges.
-        yield self.env.timeout(mapping.depth)
-        self.tracker.busy(mapping.depth)
-        self.sanitizer.lane_busy(self.lane_id, mapping.depth, self.env.now)
-        for step in range(steps):
+        tracker, sanitizer = self.tracker, self.sanitizer
+        lane_id = self.lane_id
+        depth, ii = mapping.depth, mapping.ii
+        step = done_trips = step_trips = 0
+        idx = 0  # the input being gathered, then the output being fed
+
+        def busy(cycles: float) -> None:
+            tracker.busy(cycles)
+            sanitizer.lane_busy(lane_id, cycles, env.now)
+
+        def start(_arg: object) -> None:
+            # Pipeline fill: depth cycles before the first result emerges.
+            env._schedule_call(after_fill, None, env.now + depth)
+
+        def after_fill(_arg: object) -> None:
+            busy(depth)
+            begin_step()
+
+        def begin_step() -> None:
+            nonlocal step_trips, idx
+            if step == steps:
+                self.counters.add(self._trips_key, trips)
+                close()
+                return
             step_trips = min(chunk_elems, trips - done_trips)
-            for idx, (store, total) in enumerate(in_streams):
-                if not live[idx]:
-                    continue
-                target = min(total, -(-(step + 1) * total // steps))
-                while consumed[idx] < target:
-                    token = yield store.get()
-                    if token is Store.END:
-                        # Producer finished early (e.g. filtered stream);
-                        # remaining trips run on data already resident.
-                        live[idx] = False
-                        break
-                    consumed[idx] += 1
-            active = mapping.ii * step_trips
-            yield self.env.timeout(active)
-            self.tracker.busy(active)
-            self.sanitizer.lane_busy(self.lane_id, active, self.env.now)
+            idx = 0
+            gather()
+
+        def gather() -> None:
+            nonlocal idx
+            while idx < len(in_streams):
+                if live[idx]:
+                    store, total = in_streams[idx]
+                    if consumed[idx] < min(total,
+                                           -(-(step + 1) * total // steps)):
+                        store.get().add_callback(on_token)
+                        return
+                idx += 1
+            active = ii * step_trips
+            env._schedule_call(after_compute, active, env.now + active)
+
+        def on_token(ev: Event) -> None:
+            nonlocal idx
+            if ev.value is Store.END:
+                # Producer finished early (e.g. filtered stream);
+                # remaining trips run on data already resident.
+                live[idx] = False
+                idx += 1
+            else:
+                consumed[idx] += 1
+            gather()
+
+        def after_compute(active: float) -> None:
+            nonlocal done_trips, idx
+            busy(active)
             done_trips += step_trips
-            for store in out_stores:
-                yield store.put(step_trips)
-        self.counters.add(self._trips_key, trips)
-        for store in out_stores:
-            if close_outputs:
-                store.close()
+            idx = 0
+            emit(None)
+
+        def emit(_arg: object) -> None:
+            nonlocal step, idx
+            if idx < len(out_stores):
+                idx += 1
+                out_stores[idx - 1].put(step_trips).add_callback(emit)
+            else:
+                step += 1
+                begin_step()
+
+        env._schedule_call(start)
+        return done
 
     # -- reporting ---------------------------------------------------------
 

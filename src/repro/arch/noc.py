@@ -176,8 +176,8 @@ class Noc:
         if not dsts:
             raise SimulationError("multicast with no destinations")
         if len(dsts) == 1 or not self.multicast_enabled:
-            events = [self.unicast(src, d, nbytes) for d in dsts]
-            return self.env.all_of(events)
+            return self.env.all_done(
+                [self.unicast(src, d, nbytes) for d in dsts])
 
         tree, max_hops = self._tree_links(src, tuple(dsts))
         payload = nbytes + self.header_bytes

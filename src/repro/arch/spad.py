@@ -13,7 +13,7 @@ region is already resident reads it at scratchpad bandwidth.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.sim import BandwidthServer, Counters, Environment, Event
 from repro.sim.engine import SimulationError
@@ -55,11 +55,21 @@ class Scratchpad:
         one chunk; the stream engine issues chunks back-to-back so bank
         contention between concurrent streams is emergent.
         """
+        return self._bank(nbytes, is_write).transfer(nbytes)
+
+    def access_then(self, nbytes: float, is_write: bool,
+                    then: Callable[[Any], None]) -> None:
+        """:meth:`access`, calling ``then(None)`` from a bare call slot
+        when it completes (see :meth:`BandwidthServer.transfer_then`)."""
+        self._bank(nbytes, is_write).transfer_then(nbytes, then)
+
+    def _bank(self, nbytes: float, is_write: bool) -> BandwidthServer:
+        """Count an access and pick its bank (round-robin striping)."""
         bank = self.banks[self._rr]
         self._rr = (self._rr + 1) % len(self.banks)
         self.counters.add(self._write_key if is_write else self._read_key,
                           nbytes)
-        return bank.transfer(nbytes)
+        return bank
 
     # -- residency ---------------------------------------------------------
 

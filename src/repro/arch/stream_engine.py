@@ -12,10 +12,14 @@ chunks are bounded by a credit :class:`~repro.sim.Resource`, so downstream
 backpressure (a slow consumer of ``dest_store``) throttles DRAM issue —
 exactly the behaviour hardware credit-based streams have.
 
-The DRAM/NoC/scratchpad pumps are written in continuation-passing style:
-each stage is a callback on the event the previous stage returned, and a
-pump starts from a bare call slot. Callbacks run inside the awaited
-event's queue slot, just where a generator process would resume, but
+The DRAM/NoC/scratchpad pumps are written in continuation-passing style,
+and a pump starts from a bare call slot. A stage whose only waiter is the
+next stage does not allocate an event: DRAM and scratchpad transfers
+complete through ``fetch_then``/``writeback_then``/``access_then``, which
+place the continuation as a call slot exactly where the transfer's
+Timeout would sit in the queue. The NoC stage and store operations are
+callbacks on the event they return, which run inside that event's slot.
+Either way the continuation runs where a generator process would resume,
 without a generator frame or a Process object per chunk. Only the
 lane-to-lane :meth:`StreamEngine.forward` pump is a generator process.
 """
@@ -76,8 +80,8 @@ class StreamEngine:
 
         Per chunk: take a credit, fetch from DRAM, then hand the chunk to a
         detached delivery (:meth:`_deliver_chunk`) and issue the next one.
-        If ``dest_store`` is given, a token is put per delivered chunk so a
-        compute process can consume data as it arrives. The returned event
+        If ``dest_store`` is given, a token is put per delivered chunk so
+        the lane pipeline can consume data as it arrives. The returned event
         fires when the final chunk has landed.
         """
         env = self.env
@@ -101,12 +105,11 @@ class StreamEngine:
             next_chunk(None)
 
         def after_grant(_ev: object) -> None:
-            self.dram.fetch(sizes[idx[0]],
-                            locality).add_callback(after_fetch)
+            self.dram.fetch_then(sizes[idx[0]], locality, after_fetch)
 
         def next_chunk(_arg: object) -> None:
             if idx[0] == len(sizes):
-                env.all_of(tails).add_callback(final)
+                env.all_done(tails).add_callback(final)
             else:
                 credits.acquire().add_callback(after_grant)
 
@@ -130,7 +133,7 @@ class StreamEngine:
                 finish(None)
 
         def after_noc(_ev: object) -> None:
-            self.spad.access(size, is_write=True).add_callback(after_spad)
+            self.spad.access_then(size, True, after_spad)
 
         def start(_arg: object) -> None:
             self.noc.unicast(MEM_NODE, self.lane_name,
@@ -174,8 +177,7 @@ class StreamEngine:
             if idx[0] == len(sizes):
                 final()
             else:
-                self.spad.access(sizes[idx[0]],
-                                 is_write=False).add_callback(after_access)
+                self.spad.access_then(sizes[idx[0]], False, after_access)
 
         env._schedule_call(step)
         return complete
@@ -187,7 +189,7 @@ class StreamEngine:
         """Stream ``nbytes`` of results back to DRAM.
 
         With ``src_store``, chunks are drained as compute produces them
-        (tokens put by the compute process); otherwise the whole transfer
+        (tokens put by the lane pipeline); otherwise the whole transfer
         is issued immediately (end-of-task writeback). Each chunk goes
         scratchpad read -> NoC to memory -> DRAM writeback.
         """
@@ -197,13 +199,13 @@ class StreamEngine:
 
         def writeback(size: float, then) -> None:
             def after_noc(_ev: object) -> None:
-                self.dram.writeback(size, locality).add_callback(then)
+                self.dram.writeback_then(size, locality, then)
 
             def after_spad(_ev: object) -> None:
                 self.noc.unicast(self.lane_name, MEM_NODE,
                                  size).add_callback(after_noc)
 
-            self.spad.access(size, is_write=False).add_callback(after_spad)
+            self.spad.access_then(size, False, after_spad)
 
         def final() -> None:
             self.counters.add(self._out_key, nbytes)

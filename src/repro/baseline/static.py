@@ -132,7 +132,7 @@ class _StaticRun:
                         name=f"static:{lane.name}:p{phase_index}"))
             # The barrier: every lane finishes before the next phase.
             phase_start = self.env.now
-            yield self.env.all_of(workers)
+            yield self.env.all_done(workers)
             self.metrics.static.add("barriers")
             if self.injector.enabled:
                 yield from self._repair_phase(phase_index)
@@ -245,14 +245,11 @@ class _StaticRun:
             procs.append(lane.streams.stream_out(
                 write_bytes, locality, src_store=out))
 
-        compute = self.env.process(
-            lane.run_pipeline(mapping, task.trips, in_streams, out_stores),
-            name=f"compute:{task.name}")
-        yield compute
+        yield lane.run_pipeline(mapping, task.trips, in_streams, out_stores)
         drains = [self.env.process(self._drain(store))
                   for store, _total in in_streams
                   if not (store.closed and store.level == 0)]
-        yield self.env.all_of(procs + drains)
+        yield self.env.all_done(procs + drains)
         self.tracer.span("task", task.name, lane.name, t_begin,
                          self.env.now, type=task.type.name)
         self.sanitizer.compute_expected(

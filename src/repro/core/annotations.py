@@ -22,6 +22,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 
+def _check_nbytes(spec: str, nbytes: float) -> None:
+    """A transfer size is a whole, non-negative number of bytes.
+
+    Streams move whole chunks, so a fractional size could not reconcile:
+    the chunker would move the floor of it while the stream counters add
+    the fraction. Integers of any kind and whole floats are accepted.
+    """
+    if nbytes < 0:
+        raise ValueError(f"{spec} nbytes must be >= 0: {nbytes}")
+    if not float(nbytes).is_integer():
+        raise ValueError(f"{spec} nbytes must be a whole number: {nbytes}")
+
+
 @dataclass(frozen=True)
 class ReadSpec:
     """One input of a task.
@@ -45,8 +58,7 @@ class ReadSpec:
     shared: bool = False
 
     def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError(f"ReadSpec nbytes must be >= 0: {self.nbytes}")
+        _check_nbytes("ReadSpec", self.nbytes)
         if not 0.0 <= self.locality <= 1.0:
             raise ValueError(f"ReadSpec locality in [0,1]: {self.locality}")
         if self.shared and not self.region:
@@ -61,8 +73,7 @@ class WriteSpec:
     locality: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError(f"WriteSpec nbytes must be >= 0: {self.nbytes}")
+        _check_nbytes("WriteSpec", self.nbytes)
         if not 0.0 <= self.locality <= 1.0:
             raise ValueError(f"WriteSpec locality in [0,1]: {self.locality}")
 

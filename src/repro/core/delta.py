@@ -374,10 +374,7 @@ class _DeltaRun:
                 self.metrics.pipe.add("disabled_round_trips")
 
         # 4. Compute.
-        compute = self.env.process(
-            lane.run_pipeline(mapping, task.trips, in_streams, out_stores),
-            name=f"compute:{task.name}")
-        yield compute
+        yield lane.run_pipeline(mapping, task.trips, in_streams, out_stores)
 
         # 5. Drain any input tokens the compute did not consume (rounding
         #    or early-closed streams), so producers blocked on full stores
@@ -385,7 +382,7 @@ class _DeltaRun:
         drains = [self.env.process(self._drain(store))
                   for store, _total in in_streams
                   if not (store.closed and store.level == 0)]
-        yield self.env.all_of(procs + drains)
+        yield self.env.all_done(procs + drains)
 
         self.tracer.span("task", task.name, lane.name, t_begin,
                          self.env.now, type=task.type.name,

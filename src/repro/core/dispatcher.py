@@ -140,7 +140,7 @@ class Dispatcher:
         if not waits:
             self._make_ready(task)
             return
-        gate = self.env.all_of(waits)
+        gate = self.env.all_done(waits)
         gate.add_callback(lambda _ev, t=task: self._make_ready(t))
 
     def _make_ready(self, task: Task) -> None:

@@ -19,6 +19,13 @@ events fire ordered by time and then FIFO. A bucket entry is either an
 already-processed event, process bootstraps and the closed-form component
 paths in :mod:`repro.arch`, none of which needs an Event object.
 
+The rule the component models follow: a continuation that is the *only*
+waiter of an occurrence is a call slot placed at the queue position the
+occurrence's Event or generator resume would take (for a delay, at
+``now + delay`` exactly as :class:`Timeout` computes it). Time, FIFO
+order and the number of drained slots stay identical; only the Event
+and the generator frame are gone.
+
 This is deliberately a subset of SimPy's semantics — enough for cycle-level
 hardware modeling, small enough to reason about and test exhaustively.
 """
@@ -114,24 +121,35 @@ class Event:
             self._callbacks.append(fn)
 
     def succeed(self, value: Any = None, delay: float = 0) -> "Event":
-        """Mark the event successful; waiters resume with ``value``."""
-        self._trigger(True, value, delay)
+        """Mark the event successful; waiters resume with ``value``.
+
+        Schedules the event ``delay`` cycles from now, inline: this is
+        the hottest call of the kernel after the run loop itself.
+        """
+        if self._triggered:
+            raise SimulationError(f"event {self} already triggered")
+        self._triggered = True
+        self._ok = True
+        self._value = value
+        env = self.env
+        at = env.now + delay
+        bucket = env._buckets.get(at)
+        if bucket is None:
+            env._buckets[at] = [self]
+            heapq.heappush(env._times, at)
+        else:
+            bucket.append(self)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0) -> "Event":
         """Mark the event failed; waiters see ``exc`` raised."""
         if not isinstance(exc, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exc!r}")
-        self._trigger(False, exc, delay)
+        # Scheduled like a success; the outcome is set before any waiter
+        # can run, since waiters run only when the queue drains the event.
+        self.succeed(exc, delay)
+        self._ok = False
         return self
-
-    def _trigger(self, ok: bool, value: Any, delay: float) -> None:
-        if self._triggered:
-            raise SimulationError(f"event {self} already triggered")
-        self._triggered = True
-        self._ok = ok
-        self._value = value
-        self.env._schedule_event(self, delay)
 
     def _process(self) -> None:
         self._processed = True
@@ -161,12 +179,22 @@ class Timeout(Event):
                  value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._triggered = True
-        self._ok = True
+        # Born triggered and scheduled inline, without Event.__init__.
+        self.env = env
+        self.name = ""
+        self._callbacks = None
         self._value = value
-        env._schedule_event(self, delay)
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        self.delay = delay
+        at = env.now + delay
+        bucket = env._buckets.get(at)
+        if bucket is None:
+            env._buckets[at] = [self]
+            heapq.heappush(env._times, at)
+        else:
+            bucket.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = ("processed" if self._processed
@@ -293,15 +321,6 @@ class Environment:
         self.clock_monitor: Optional[Callable[[float, float], None]] = None
 
     # -- scheduling ------------------------------------------------------
-
-    def _schedule_event(self, event: Event, delay: float) -> None:
-        at = self.now + delay
-        bucket = self._buckets.get(at)
-        if bucket is None:
-            self._buckets[at] = [event]
-            heapq.heappush(self._times, at)
-        else:
-            bucket.append(event)
 
     def _schedule_call(self, fn: Callable[[Any], None], arg: Any = None,
                        at: Optional[float] = None) -> None:

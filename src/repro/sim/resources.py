@@ -8,7 +8,7 @@ ordering (which :mod:`repro.sim.engine` guarantees: time, then FIFO).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Environment, Event, SimulationError
 
@@ -210,6 +210,20 @@ class BandwidthServer:
     def transfer(self, nbytes: float) -> Event:
         """Return an event firing when ``nbytes`` have been delivered."""
         return self.env.timeout(self.reserve(nbytes) - self.env.now)
+
+    def transfer_then(self, nbytes: float,
+                      then: Callable[[Any], None]) -> None:
+        """Book a transfer and call ``then(None)`` once it is delivered.
+
+        The call-slot form of :meth:`transfer` for a continuation that is
+        the transfer's only waiter. The slot lands at ``now + (finish -
+        now)`` — the float the Timeout would compute, not ``finish`` — so
+        it takes exactly the queue position the Timeout would, without
+        allocating it.
+        """
+        now = self.env.now
+        finish = self.reserve(nbytes)
+        self.env._schedule_call(then, None, now + (finish - now))
 
     def reserve(self, nbytes: float) -> float:
         """Book a transfer and return its absolute delivery time.

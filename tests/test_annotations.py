@@ -1,5 +1,6 @@
 """Unit tests for dependence annotations (repro.core.annotations)."""
 
+import numpy as np
 import pytest
 
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
@@ -32,6 +33,16 @@ class TestReadSpec:
     def test_zero_bytes_allowed(self):
         assert ReadSpec(nbytes=0).nbytes == 0
 
+    @pytest.mark.parametrize("nbytes", [64.5, 0.25, float("nan"),
+                                        float("inf")])
+    def test_fractional_bytes_rejected(self, nbytes):
+        with pytest.raises(ValueError, match="whole number"):
+            ReadSpec(nbytes=nbytes)
+
+    @pytest.mark.parametrize("nbytes", [64.0, np.int64(64), np.float64(64)])
+    def test_whole_bytes_of_any_type_allowed(self, nbytes):
+        assert ReadSpec(nbytes=nbytes).nbytes == 64
+
     @pytest.mark.parametrize("locality", [-0.1, 1.1, 2.0])
     def test_locality_out_of_range(self, locality):
         with pytest.raises(ValueError, match="locality"):
@@ -51,6 +62,15 @@ class TestWriteSpec:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             WriteSpec(nbytes=-4)
+
+    @pytest.mark.parametrize("nbytes", [64.5, 0.25, float("nan")])
+    def test_fractional_rejected(self, nbytes):
+        with pytest.raises(ValueError, match="whole number"):
+            WriteSpec(nbytes=nbytes)
+
+    @pytest.mark.parametrize("nbytes", [64.0, np.int32(64), np.float32(64)])
+    def test_whole_sizes_of_any_type_allowed(self, nbytes):
+        assert WriteSpec(nbytes=nbytes).nbytes == 64
 
     def test_locality_validated(self):
         with pytest.raises(ValueError):

@@ -167,12 +167,15 @@ def test_dram_writeback_counted_separately():
     dram = Dram(env, counters, bytes_per_cycle=4, latency=0,
                 random_penalty=1.0)
 
+    written = []
+
     def proc():
         yield dram.fetch(40)
-        yield dram.writeback(24)
+        dram.writeback_then(24, 1.0, lambda _arg: written.append(env.now))
 
     env.process(proc())
     env.run()
+    assert written == [(40 + 24) / 4]
     assert counters.get("dram.read_bytes") == 40
     assert counters.get("dram.write_bytes") == 24
     assert dram.total_bytes == 64

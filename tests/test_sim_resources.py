@@ -286,6 +286,36 @@ def test_bandwidth_idle_gap_not_counted():
     assert chan.total_transfers == 2
 
 
+def test_bandwidth_call_slot_and_timeout_fire_in_booking_order():
+    """A ``transfer_then`` completion takes the queue position of the
+    Timeout ``transfer()`` allocates: same-cycle completions fire in
+    booking order. The channels are still busy when the transfers are
+    booked, so ``now + (finish - now)`` rounds below ``finish`` — a slot
+    placed at ``finish`` would fire after the Timeout."""
+    env = Environment()
+    chans = [BandwidthServer(env, bytes_per_cycle=1) for _ in range(3)]
+    fired = []
+
+    def record(tag):
+        return lambda _arg: fired.append((tag, env.now))
+
+    def proc():
+        for chan in chans:
+            chan.transfer(0.11)  # busy until 0.11
+        yield env.timeout(0.1)
+        chans[0].transfer_then(0.3, record("a"))
+        chans[1].transfer(0.3).add_callback(record("b"))
+        chans[2].transfer_then(0.3, record("c"))
+
+    env.process(proc())
+    env.run()
+    finish = 0.11 + 0.3
+    at = 0.1 + (finish - 0.1)
+    assert at < finish
+    assert fired == [("a", at), ("b", at), ("c", at)]
+    assert [chan.total_transfers for chan in chans] == [2, 2, 2]
+
+
 def test_bandwidth_zero_byte_transfer_only_latency():
     env = Environment()
     chan = BandwidthServer(env, bytes_per_cycle=8, latency=5)

@@ -191,6 +191,13 @@ def run_gen(env, gen):
     return result.get("value")
 
 
+def run_until(env, event):
+    """Helper: run the simulation until ``event`` has fired."""
+    env.run()
+    assert event.processed
+    return event.value
+
+
 def test_lane_configure_miss_costs_cycles():
     env, counters, noc, dram, lanes = make_system(config_cycles=16)
     lane = lanes[0]
@@ -226,7 +233,7 @@ def test_lane_run_pipeline_timing():
     lane = lanes[0]
     mapping = run_gen(env, lane.configure(dot_product_dfg()))
     start = env.now
-    run_gen(env, lane.run_pipeline(mapping, trips=64))
+    run_until(env, lane.run_pipeline(mapping, trips=64))
     elapsed = env.now - start
     # 64 trips at II + depth fill.
     assert elapsed == mapping.depth + mapping.ii * 64
@@ -239,7 +246,7 @@ def test_lane_run_pipeline_zero_trips_closes_outputs():
     lane = lanes[0]
     mapping = run_gen(env, lane.configure(dot_product_dfg()))
     out = Store(env, capacity=2)
-    run_gen(env, lane.run_pipeline(mapping, trips=0, out_stores=[out]))
+    run_until(env, lane.run_pipeline(mapping, trips=0, out_stores=[out]))
     assert out.closed
 
 
@@ -258,8 +265,7 @@ def test_lane_run_pipeline_waits_for_input_tokens():
         feed.close()
 
     def compute():
-        yield from lane.run_pipeline(mapping, trips=64,
-                                     in_streams=[(feed, 4)])
+        yield lane.run_pipeline(mapping, trips=64, in_streams=[(feed, 4)])
         finished.append(env.now)
 
     env.process(slow_feeder())
@@ -283,7 +289,7 @@ def test_lane_run_pipeline_emits_output_tokens():
             got.append(item)
 
     env.process(consumer())
-    run_gen(env, lane.run_pipeline(mapping, trips=40, out_stores=[out]))
+    run_until(env, lane.run_pipeline(mapping, trips=40, out_stores=[out]))
     # chunk_elems = 64/4 = 16 -> tokens 16, 16, 8.
     assert got == [16, 16, 8]
 
@@ -341,7 +347,7 @@ def test_run_pipeline_input_larger_than_trips_paced():
         feed.close()
 
     env.process(feeder())
-    run_gen(env, lane.run_pipeline(mapping, trips=32,
-                                   in_streams=[(feed, 8)]))
+    run_until(env, lane.run_pipeline(mapping, trips=32,
+                                     in_streams=[(feed, 8)]))
     # Proportional pacing: all 8 chunks consumed across the 2 steps.
     assert feed.level == 0
