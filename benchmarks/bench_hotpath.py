@@ -4,7 +4,8 @@ Two roles:
 
 1. **Profiler** (standalone): run the pinned workload subset under
    ``cProfile`` and print the top frames, so successive PRs attack the
-   same, comparable profile::
+   same, comparable profile, then the DES census of one suite pass
+   (Events drained and generator steps, by name; ``tools/des_census.py``)::
 
        PYTHONPATH=src python benchmarks/bench_hotpath.py --profile
 
@@ -40,6 +41,7 @@ if str(REPO_ROOT / "tools") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import bench_trajectory  # noqa: E402  (tools/, path set up above)
+import des_census  # noqa: E402
 
 #: The pinned subset is defined next to the trajectory recorder so the
 #: gate re-measures exactly the mix the committed file recorded.
@@ -124,6 +126,7 @@ def main(argv=None) -> int:
 
     if args.profile:
         print(profile_pinned(args.top))
+        print(des_census.suite_pass_census(PINNED_LANES).table())
         return 0
 
     from repro.eval.parallel import resolve_jobs
