@@ -11,8 +11,9 @@ what makes the comparison "equivalent" in the paper's sense.
 
 Compute is a continuation chain on the event kernel rather than a
 generator process: :meth:`Lane.run_pipeline` returns one completion event
-that the executing task waits on, and its steps run from call slots and
-store callbacks at the queue positions a process would have resumed at.
+that the executing task waits on, and every step runs from a bare call
+slot (timed stretches and the store hand-offs of ``get_then`` and
+``put_then``) at the queue position a process would have resumed at.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class Lane:
         The pipeline is a continuation chain, not a process: a bootstrap
         call slot at ``now``, one call slot per timed stretch (the fill,
         then each step's compute) at ``now + cycles`` as a Timeout would
-        take, a callback on each store operation, and the returned event.
+        take, a call slot per store get or put (``get_then``/``put_then``,
+        where the operation's Event would fire), and the returned event.
         Those are the queue positions a generator process took, so timing
         is bit-identical without a generator frame per task.
         """
@@ -174,15 +176,15 @@ class Lane:
                     store, total = in_streams[idx]
                     if consumed[idx] < min(total,
                                            -(-(step + 1) * total // steps)):
-                        store.get().add_callback(on_token)
+                        store.get_then(on_token)
                         return
                 idx += 1
             active = ii * step_trips
             env._schedule_call(after_compute, active, env.now + active)
 
-        def on_token(ev: Event) -> None:
+        def on_token(token: object) -> None:
             nonlocal idx
-            if ev.value is Store.END:
+            if token is Store.END:
                 # Producer finished early (e.g. filtered stream);
                 # remaining trips run on data already resident.
                 live[idx] = False
@@ -202,7 +204,7 @@ class Lane:
             nonlocal step, idx
             if idx < len(out_stores):
                 idx += 1
-                out_stores[idx - 1].put(step_trips).add_callback(emit)
+                out_stores[idx - 1].put_then(step_trips, emit)
             else:
                 step += 1
                 begin_step()

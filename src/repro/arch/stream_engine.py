@@ -15,24 +15,25 @@ exactly the behaviour hardware credit-based streams have.
 The DRAM/NoC/scratchpad pumps are written in continuation-passing style,
 and a pump starts from a bare call slot. A stage whose only waiter is the
 next stage does not allocate an event: DRAM and scratchpad transfers
-complete through ``fetch_then``/``writeback_then``/``access_then``, which
-place the continuation as a call slot exactly where the transfer's
-Timeout would sit in the queue. The NoC stage and store operations are
-callbacks on the event they return, which run inside that event's slot.
-Either way the continuation runs where a generator process would resume,
-without a generator frame or a Process object per chunk. Only the
-lane-to-lane :meth:`StreamEngine.forward` pump is a generator process.
+complete through ``fetch_then``/``writeback_then``/``access_then``, NoC
+messages through :meth:`~repro.arch.noc.Noc.unicast_then`, store
+operations through ``put_then``/``get_then`` and credits through
+``acquire_then``. Each places the continuation as a call slot exactly
+where the Event it replaces would sit in the queue, so the continuation
+runs where a generator process would resume, without a generator frame,
+a Process object or an Event per chunk. Each pump returns one
+completion Event, the occurrence its caller joins on.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Generator, Optional
+from typing import Any, Callable, Optional
 
 from repro.arch.dram import Dram
 from repro.arch.noc import MEM_NODE, Noc
 from repro.arch.spad import Scratchpad
-from repro.sim import Counters, Environment, Event, Process, Resource, Store
+from repro.sim import Counters, Environment, Event, Resource, Store
 
 
 class StreamEngine:
@@ -83,64 +84,89 @@ class StreamEngine:
         If ``dest_store`` is given, a token is put per delivered chunk so
         the lane pipeline can consume data as it arrives. The returned event
         fires when the final chunk has landed.
+
+        Completion is a join over the chunk landings, placed where an
+        ``all_done`` over one Event per chunk would put it: once the last
+        chunk is issued, one call slot for each chunk that has already
+        landed, the landing slot of each chunk still in flight, and then
+        one completion slot where the ``all_done`` Event fired (a single
+        slot at ``now`` for an empty stream).
         """
         env = self.env
         complete = Event(env, "stream_in")
         credits = Resource(env, self.max_inflight_chunks,
                            name=self._credits_name)
         sizes = self.chunks_of(nbytes)
-        tails: list[Event] = []
-        idx = [0]
+        idx = 0
+        landed = 0  # chunks landed before the join exists
+        pending = -1  # chunks the join still waits for; -1 before it
 
-        def final(_ev: object) -> None:
+        def final(_arg: object) -> None:
             self.counters.add(self._in_key, nbytes)
             if dest_store is not None and close_dest:
                 dest_store.close()
             complete.succeed()
 
-        def after_fetch(_ev: object) -> None:
-            tails.append(self._deliver_chunk(
-                sizes[idx[0]], dest_store, credits))
-            idx[0] += 1
+        def count_landing(_arg: object) -> None:
+            nonlocal pending
+            pending -= 1
+            if pending == 0:
+                env._schedule_call(final)
+
+        def on_landing(_arg: object) -> None:
+            nonlocal landed
+            if pending < 0:
+                landed += 1
+            else:
+                count_landing(None)
+
+        def after_fetch(_arg: object) -> None:
+            nonlocal idx
+            self._deliver_chunk(sizes[idx], dest_store, credits, on_landing)
+            idx += 1
             next_chunk(None)
 
-        def after_grant(_ev: object) -> None:
-            self.dram.fetch_then(sizes[idx[0]], locality, after_fetch)
+        def after_grant(_arg: object) -> None:
+            self.dram.fetch_then(sizes[idx], locality, after_fetch)
 
         def next_chunk(_arg: object) -> None:
-            if idx[0] == len(sizes):
-                env.all_done(tails).add_callback(final)
+            nonlocal pending
+            if idx < len(sizes):
+                credits.acquire_then(after_grant)
+            elif not sizes:
+                env._schedule_call(final)
             else:
-                credits.acquire().add_callback(after_grant)
+                pending = len(sizes)
+                for _ in range(landed):
+                    env._schedule_call(count_landing)
 
         env._schedule_call(next_chunk)
         return complete
 
     def _deliver_chunk(self, size: int, dest_store: Optional[Store],
-                       credits: Resource) -> Event:
-        """NoC to the lane, scratchpad write, optional token, credit back."""
+                       credits: Resource,
+                       landed: Callable[[Any], None]) -> None:
+        """NoC to the lane, scratchpad write, optional token, credit back;
+        then ``landed`` runs from a call slot at ``now``."""
         env = self.env
-        complete = Event(env, "deliver_chunk")
 
-        def finish(_ev: object) -> None:
+        def finish(_arg: object) -> None:
             credits.release()
-            complete.succeed()
+            env._schedule_call(landed)
 
-        def after_spad(_ev: object) -> None:
+        def after_spad(_arg: object) -> None:
             if dest_store is not None:
-                dest_store.put(size).add_callback(finish)
+                dest_store.put_then(size, finish)
             else:
                 finish(None)
 
-        def after_noc(_ev: object) -> None:
+        def after_noc(_arg: object) -> None:
             self.spad.access_then(size, True, after_spad)
 
         def start(_arg: object) -> None:
-            self.noc.unicast(MEM_NODE, self.lane_name,
-                             size).add_callback(after_noc)
+            self.noc.unicast_then(MEM_NODE, self.lane_name, size, after_noc)
 
         env._schedule_call(start)
-        return complete
 
     # -- resident scratchpad data -> fabric --------------------------------
 
@@ -163,13 +189,13 @@ class StreamEngine:
                 dest_store.close()
             complete.succeed()
 
-        def after_put(_ev: object) -> None:
+        def after_put(_arg: object) -> None:
             idx[0] += 1
             step(None)
 
-        def after_access(_ev: object) -> None:
+        def after_access(_arg: object) -> None:
             if dest_store is not None:
-                dest_store.put(sizes[idx[0]]).add_callback(after_put)
+                dest_store.put_then(sizes[idx[0]], after_put)
             else:
                 after_put(None)
 
@@ -198,12 +224,12 @@ class StreamEngine:
         remaining = [float(nbytes)]
 
         def writeback(size: float, then) -> None:
-            def after_noc(_ev: object) -> None:
+            def after_noc(_arg: object) -> None:
                 self.dram.writeback_then(size, locality, then)
 
-            def after_spad(_ev: object) -> None:
-                self.noc.unicast(self.lane_name, MEM_NODE,
-                                 size).add_callback(after_noc)
+            def after_spad(_arg: object) -> None:
+                self.noc.unicast_then(self.lane_name, MEM_NODE, size,
+                                      after_noc)
 
             self.spad.access_then(size, False, after_spad)
 
@@ -219,7 +245,7 @@ class StreamEngine:
                 if idx[0] == len(sizes):
                     final()
                 else:
-                    def done(_ev: object) -> None:
+                    def done(_arg: object) -> None:
                         idx[0] += 1
                         step(None)
 
@@ -235,7 +261,7 @@ class StreamEngine:
             if remaining[0] > 0:
                 size = min(self.chunk_bytes, remaining[0])
 
-                def done(_ev: object) -> None:
+                def done(_arg: object) -> None:
                     remaining[0] -= size
                     trailing(None)
 
@@ -243,13 +269,13 @@ class StreamEngine:
             else:
                 final()
 
-        def on_token(ev: Event) -> None:
-            if ev.value is Store.END:
+        def on_token(token: object) -> None:
+            if token is Store.END:
                 trailing(None)
                 return
             size = min(self.chunk_bytes, remaining[0])
             if size > 0:
-                def done(_ev: object) -> None:
+                def done(_arg: object) -> None:
                     remaining[0] -= size
                     get_next(None)
 
@@ -258,42 +284,7 @@ class StreamEngine:
                 get_next(None)
 
         def get_next(_arg: object) -> None:
-            src_store.get().add_callback(on_token)
+            src_store.get_then(on_token)
 
         env._schedule_call(get_next)
         return complete
-
-    # -- lane -> lane (pipelined inter-task dependences) --------------------
-
-    def forward(self, dst_lane: str, nbytes: float,
-                src_store: Store, dest_store: Store,
-                close_dest: bool = True) -> Process:
-        """Forward a produced stream directly to a consumer lane.
-
-        Used when TaskStream recovers a pipelined inter-task dependence:
-        the producer's output bypasses DRAM entirely and lands in the
-        consumer's scratchpad, chunk by chunk, with backpressure carried
-        through the bounded stores.
-        """
-        return self.env.process(
-            self._pump_forward(dst_lane, nbytes, src_store, dest_store,
-                               close_dest),
-            name=f"{self.lane_name}->{dst_lane}.forward")
-
-    def _pump_forward(self, dst_lane: str, nbytes: float, src_store: Store,
-                      dest_store: Store, close_dest: bool) -> Generator:
-        moved = 0.0
-        while True:
-            token = yield src_store.get()
-            if token is Store.END:
-                break
-            size = token if isinstance(token, (int, float)) else self.chunk_bytes
-            yield self.spad.access(size, is_write=False)
-            if dst_lane != self.lane_name:
-                yield self.noc.unicast(self.lane_name, dst_lane, size)
-            yield dest_store.put(size)
-            moved += size
-        self.counters.add(f"{self.lane_name}.forward_bytes", moved)
-        self.counters.add("noc.forwarded_stream_bytes", moved)
-        if close_dest:
-            dest_store.close()

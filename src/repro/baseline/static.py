@@ -246,8 +246,7 @@ class _StaticRun:
                 write_bytes, locality, src_store=out))
 
         yield lane.run_pipeline(mapping, task.trips, in_streams, out_stores)
-        drains = [self.env.process(self._drain(store))
-                  for store, _total in in_streams
+        drains = [store.drain() for store, _total in in_streams
                   if not (store.closed and store.level == 0)]
         yield self.env.all_done(procs + drains)
         self.tracer.span("task", task.name, lane.name, t_begin,
@@ -283,9 +282,3 @@ class _StaticRun:
             self.metrics.recovery.add("recovery_cycles", wasted)
             yield self.env.timeout(wasted)
             attempt += 1
-
-    def _drain(self, store: Store) -> Generator:
-        while True:
-            token = yield store.get()
-            if token is Store.END:
-                return

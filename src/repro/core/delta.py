@@ -36,7 +36,7 @@ again — can therefore share one program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Mapping, Optional
+from typing import Any, Callable, Generator, Mapping, Optional
 
 from repro.arch.config import MachineConfig
 from repro.arch.lane import Lane
@@ -47,7 +47,7 @@ from repro.core.program import Program, expand_program
 from repro.core.task import Task
 from repro.machine import ExecutionStalled, Machine, RunResult, RunSession
 from repro.sched.api import StructureHints
-from repro.sim import Store
+from repro.sim import Event, Store
 from repro.sim.faults import LaneFailure, UnrecoverableFault
 from repro.sim.trace import NullTracer, Tracer
 from repro.util.rng import DeterministicRng
@@ -334,9 +334,7 @@ class _DeltaRun:
                 channel = self._channel(producer, task)
                 store = Store(self.env, capacity=8,
                               name=f"{task.name}.pipe")
-                procs.append(self.env.process(
-                    self._pull(lane, channel, store, task),
-                    name=f"pull:{task.name}"))
+                procs.append(self._pull(lane, channel, store, task))
                 in_streams.append((store, chunks_of(producer.write_bytes)))
             else:
                 # Degraded: the producer wrote its output to DRAM; read it
@@ -360,9 +358,7 @@ class _DeltaRun:
             channels = [self._channel(task, c) for c in task.stream_consumers]
             for channel in channels:
                 channel.src_lane = lane.name
-            procs.append(self.env.process(
-                self._fan_out(out, channels, write_bytes),
-                name=f"fanout:{task.name}"))
+            procs.append(self._fan_out(out, channels, write_bytes))
             self.metrics.pipe.add("streams", len(channels))
         elif write_bytes > 0:
             out = Store(self.env, capacity=8, name=f"{task.name}.out")
@@ -379,8 +375,7 @@ class _DeltaRun:
         # 5. Drain any input tokens the compute did not consume (rounding
         #    or early-closed streams), so producers blocked on full stores
         #    always make progress.
-        drains = [self.env.process(self._drain(store))
-                  for store, _total in in_streams
+        drains = [store.drain() for store, _total in in_streams
                   if not (store.closed and store.level == 0)]
         yield self.env.all_done(procs + drains)
 
@@ -417,7 +412,7 @@ class _DeltaRun:
         return channel
 
     def _fan_out(self, out: Store, channels: list[_Channel],
-                 write_bytes: float) -> Generator:
+                 write_bytes: float) -> Event:
         """Copy compute output tokens into every consumer channel.
 
         Exactly ``write_bytes`` are forwarded regardless of how many compute
@@ -427,54 +422,117 @@ class _DeltaRun:
         a producer can always run to completion even if its consumer has
         not been scheduled yet — the property that makes pipelined
         dispatch deadlock-free.
+
+        A continuation chain: a bootstrap call slot at ``now``, a call
+        slot per store get and put, and the returned Event once every
+        channel is closed — the slots a generator process took.
         """
+        env = self.env
+        done = Event(env, "fanout")
         chunk = self.config.lane.stream_chunk_bytes
+        element_bytes = self.config.element_bytes
+        stream_produced = self.sanitizer.stream_produced
         sent = 0.0
-        while True:
-            token = yield out.get()
-            if token is Store.END:
-                break
-            size = min(token * self.config.element_bytes, write_bytes - sent)
-            if size > 0:
-                for channel in channels:
-                    # Record at put-issue time: a waiting consumer resumes
-                    # before the put's own done event, so recording after
-                    # the yield would misreport a legal read as ahead.
-                    self.sanitizer.stream_produced(*channel.key, size,
-                                                   self.env.now)
-                    yield channel.store.put(size)
-                sent += size
-        while sent < write_bytes:
-            size = min(chunk, write_bytes - sent)
-            for channel in channels:
-                self.sanitizer.stream_produced(*channel.key, size,
-                                               self.env.now)
-                yield channel.store.put(size)
+        size = 0.0
+        idx = 0  # the next channel to receive ``size``
+        ended = False  # the compute closed ``out``
+
+        def put_next(_arg: object) -> None:
+            nonlocal idx, sent
+            if idx < len(channels):
+                channel = channels[idx]
+                idx += 1
+                # Record at put-issue time: a waiting consumer resumes
+                # before the put's own completion, so recording after it
+                # would misreport a legal read as ahead.
+                stream_produced(*channel.key, size, env.now)
+                channel.store.put_then(size, put_next)
+                return
             sent += size
-        for channel in channels:
-            channel.store.close()
+            if ended:
+                trailing()
+            else:
+                out.get_then(on_token)
+
+        def send(nbytes: float) -> None:
+            nonlocal size, idx
+            size, idx = nbytes, 0
+            put_next(None)
+
+        def on_token(token: object) -> None:
+            nonlocal ended
+            if token is Store.END:
+                ended = True
+                trailing()
+                return
+            nbytes = min(token * element_bytes, write_bytes - sent)
+            if nbytes > 0:
+                send(nbytes)
+            else:
+                out.get_then(on_token)
+
+        def trailing() -> None:
+            if sent < write_bytes:
+                send(min(chunk, write_bytes - sent))
+                return
+            for channel in channels:
+                channel.store.close()
+            done.succeed()
+
+        env._schedule_call(lambda _arg: out.get_then(on_token))
+        return done
 
     def _pull(self, lane: Lane, channel: _Channel,
-              in_store: Store, task: Optional[Task] = None) -> Generator:
-        """Consumer side of a pipelined stream: chunks hop lane-to-lane."""
+              in_store: Store, task: Optional[Task] = None) -> Event:
+        """Consumer side of a pipelined stream: chunks hop lane-to-lane.
+
+        Per token: the NoC hop from the producer's lane (none when both
+        tasks share a lane), any stream replays, the scratchpad write and
+        the put into the compute's input store. A continuation chain with
+        the slots of the generator process it replaced: a bootstrap call
+        slot at ``now``, a call slot per get, hop, write and put, and the
+        returned Event once ``in_store`` is closed.
+        """
+        env = self.env
+        done = Event(env, "pull")
         pulled = 0.0
-        while True:
-            token = yield channel.store.get()
+        size = 0.0
+        src: Optional[str] = None
+
+        def on_token(token: object) -> None:
+            nonlocal size, src
             if token is Store.END:
-                break
+                self.metrics.pipe.add("bytes", pulled)
+                in_store.close()
+                done.succeed()
+                return
             size = float(token)
-            self.sanitizer.stream_consumed(*channel.key, size, self.env.now)
+            self.sanitizer.stream_consumed(*channel.key, size, env.now)
             src = channel.src_lane
             if src is not None and src != lane.name:
-                yield self.noc.unicast(src, lane.name, size)
-                if self.injector.enabled:
-                    yield from self._replay_chunk(lane, channel, task,
-                                                  src, size)
-            yield lane.spad.access(size, is_write=True)
-            yield in_store.put(size)
+                self.noc.unicast_then(src, lane.name, size, after_hop)
+            else:
+                write(None)
+
+        def after_hop(_arg: object) -> None:
+            if self.injector.enabled:
+                self._replay_chunk(lane, channel, task, src, size, write)
+            else:
+                write(None)
+
+        def write(_arg: object) -> None:
+            lane.spad.access_then(size, True, put)
+
+        def put(_arg: object) -> None:
+            in_store.put_then(size, after_put)
+
+        def after_put(_arg: object) -> None:
+            nonlocal pulled
             pulled += size
-        self.metrics.pipe.add("bytes", pulled)
-        in_store.close()
+            channel.store.get_then(on_token)
+
+        env._schedule_call(lambda _arg: channel.store.get_then(on_token))
+        return done
 
     def _resident_after(self, pf_proc, lane: Lane, nbytes: int,
                         store: Store) -> Generator:
@@ -483,12 +541,6 @@ class _DeltaRun:
             yield pf_proc
         yield lane.streams.read_resident(nbytes, dest_store=store,
                                          close_dest=True)
-
-    def _drain(self, store: Store) -> Generator:
-        while True:
-            token = yield store.get()
-            if token is Store.END:
-                return
 
     # -- fault recovery ------------------------------------------------------------
 
@@ -536,14 +588,27 @@ class _DeltaRun:
             attempt += 1
 
     def _replay_chunk(self, lane: Lane, channel: _Channel,
-                      task: Optional[Task], src: str,
-                      size: float) -> Generator:
+                      task: Optional[Task], src: str, size: float,
+                      then: Callable[[Any], None]) -> None:
         """Stream replay: a corrupt chunk is NACKed and resent from the
         producer's last acknowledged chunk (retained at the source until
-        the consumer acks), bounded by the plan's retry budget."""
-        replays = 0
+        the consumer acks), bounded by the plan's retry budget.
+
+        Calls ``then(None)`` once the chunk has arrived clean: at once if
+        it did, else from the delivery slot of the last resend. Each
+        resend waits out the backoff in a call slot at ``now + backoff``.
+        Past the budget, :class:`UnrecoverableFault` propagates out of the
+        event loop, as it did from a strict-mode process step.
+        """
+        env = self.env
         policy = self.injector.plan.retry
-        while self.injector.stream_corrupt():
+        replays = 0
+
+        def check(_arg: object) -> None:
+            nonlocal replays
+            if not self.injector.stream_corrupt():
+                then(None)
+                return
             replays += 1
             self.metrics.faults.add("injected")
             self.metrics.faults.add("stream_corrupt")
@@ -553,10 +618,14 @@ class _DeltaRun:
                     f"stream chunk from {src} still corrupt after "
                     f"{replays} replays",
                     task=task.name if task is not None else None,
-                    lane=lane.lane_id, cycle=self.env.now)
-            self.sanitizer.stream_replayed(*channel.key, size,
-                                           self.env.now)
+                    lane=lane.lane_id, cycle=env.now)
+            self.sanitizer.stream_replayed(*channel.key, size, env.now)
             self.metrics.recovery.add("replayed_chunks")
             self.metrics.recovery.add("replayed_bytes", size)
-            yield self.env.timeout(policy.backoff_cycles)
-            yield self.noc.unicast(src, lane.name, size)
+            env._schedule_call(resend, None,
+                               env.now + policy.backoff_cycles)
+
+        def resend(_arg: object) -> None:
+            self.noc.unicast_then(src, lane.name, size, check)
+
+        check(None)

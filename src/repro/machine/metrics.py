@@ -122,8 +122,6 @@ class NocMetrics(CounterGroup):
     bytes = metric("bytes", "Total link-bytes moved (hops x payload).")
     messages = metric("messages", "Unicast messages sent.")
     multicasts = metric("multicasts", "Multicast tree sends.")
-    forwarded_stream_bytes = metric(
-        "forwarded_stream_bytes", "Lane-to-lane forwarded stream bytes.")
 
 
 class MulticastMetrics(CounterGroup):
@@ -386,7 +384,6 @@ class LaneMetrics(CounterGroup):
     stream_out_bytes = metric("stream_out_bytes", "Bytes streamed out.")
     resident_read_bytes = metric(
         "resident_read_bytes", "Bytes read from resident scratchpad data.")
-    forward_bytes = metric("forward_bytes", "Bytes forwarded to a peer lane.")
 
     def __init__(self, store: Counters, lane_id: int) -> None:
         super().__init__(store, prefix=f"lane{lane_id}")

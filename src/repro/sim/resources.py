@@ -3,14 +3,25 @@
 These are the contention points of the simulated machine. All waiting is
 strictly FIFO so results are deterministic given a deterministic event
 ordering (which :mod:`repro.sim.engine` guarantees: time, then FIFO).
+
+Every wait has an Event form for generator processes (``acquire``,
+``put``, ``get``, ``transfer``) and a call-slot form for a continuation
+that is the wait's only waiter (``acquire_then``, ``put_then``,
+``get_then``, ``transfer_then``). The call slot lands exactly where the
+Event would fire, so the two forms are interchangeable slot for slot;
+waiters of both forms share one FIFO and one admission path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from repro.sim.engine import Environment, Event, SimulationError
+
+#: Who waits on a Resource or Store operation: an Event (a generator
+#: process yields it) or a continuation called from a bare call slot.
+Waiter = Union[Event, Callable[[Any], None]]
 
 
 class Resource:
@@ -23,6 +34,9 @@ class Resource:
             yield env.timeout(10)
         finally:
             resource.release()
+
+    A continuation that is the grant's only waiter uses
+    :meth:`acquire_then` instead. Both forms queue in one FIFO.
     """
 
     def __init__(self, env: Environment, capacity: int, name: str = "") -> None:
@@ -33,7 +47,8 @@ class Resource:
         self.name = name
         self._acquire_name = f"acquire:{name}"
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        #: Waiting grants: Events or bare continuations, oldest first.
+        self._waiters: deque[Waiter] = deque()
 
     @property
     def in_use(self) -> int:
@@ -48,20 +63,29 @@ class Resource:
     def acquire(self) -> Event:
         """Return an event that fires when a slot is granted."""
         grant = Event(self.env, self._acquire_name)
+        self.acquire_then(grant)
+        return grant
+
+    def acquire_then(self, then: Waiter) -> None:
+        """Call ``then(self)`` from a call slot once a slot is granted.
+
+        The slot lands where :meth:`acquire`'s Event would. ``then`` may
+        also be an Event, which succeeds with ``self`` instead — that is
+        how :meth:`acquire` waits.
+        """
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
-            grant.succeed(self)
+            self.env._wake(then, self)
         else:
-            self._waiters.append(grant)
-        return grant
+            self._waiters.append(then)
 
     def release(self) -> None:
         """Release one held slot, waking the oldest waiter if any."""
         if self._in_use <= 0:
             raise SimulationError(f"release() of idle resource {self.name!r}")
         if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.succeed(self)  # slot transfers directly
+            # The slot transfers directly.
+            self.env._wake(self._waiters.popleft(), self)
         else:
             self._in_use -= 1
 
@@ -76,6 +100,13 @@ class Store:
 
     A Store can be *closed* by the producer; after the queued items drain,
     pending and future ``get`` calls receive :data:`Store.END`.
+
+    Each operation has two forms. ``put``/``get`` return an Event for a
+    generator process to yield. ``put_then``/``get_then`` take the
+    continuation that is the operation's only waiter and call it from a
+    bare call slot at the queue position the Event would take. Both forms
+    wait in the same FIFOs and are admitted by the same code, so mixing
+    them keeps the order and the timing.
     """
 
     END = object()
@@ -89,8 +120,10 @@ class Store:
         self._put_name = f"put:{name}"
         self._get_name = f"get:{name}"
         self._items: deque[Any] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-        self._getters: deque[Event] = deque()
+        #: Blocked puts as (waiter, item) and blocked gets, oldest first;
+        #: a waiter is an Event or a bare continuation.
+        self._putters: deque[tuple[Waiter, Any]] = deque()
+        self._getters: deque[Waiter] = deque()
         self._closed = False
         self.total_put = 0
 
@@ -106,34 +139,63 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Return an event that fires when ``item`` has been enqueued."""
+        done = Event(self.env, self._put_name)
+        self.put_then(item, done)
+        return done
+
+    def put_then(self, item: Any, then: Waiter) -> None:
+        """Enqueue ``item``; call ``then(None)`` from a call slot once it
+        is in. ``then`` may also be an Event, which succeeds instead."""
         if self._closed:
             raise SimulationError(f"put() on closed store {self.name!r}")
-        done = Event(self.env, self._put_name)
+        wake = self.env._wake
         if self._getters:
             # Hand the item straight to the oldest waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
+            wake(self._getters.popleft(), item)
             self.total_put += 1
-            done.succeed()
+            wake(then)
         elif len(self._items) < self.capacity:
             self._items.append(item)
             self.total_put += 1
-            done.succeed()
+            wake(then)
         else:
-            self._putters.append((done, item))
-        return done
+            self._putters.append((then, item))
 
     def get(self) -> Event:
         """Return an event that fires with the next item (or END)."""
         got = Event(self.env, self._get_name)
+        self.get_then(got)
+        return got
+
+    def get_then(self, then: Waiter) -> None:
+        """Call ``then(item)`` from a call slot with the next item (or
+        END). ``then`` may also be an Event, which succeeds instead."""
         if self._items:
-            got.succeed(self._items.popleft())
+            self.env._wake(then, self._items.popleft())
             self._admit_waiting_putter()
         elif self._closed and not self._putters:
-            got.succeed(Store.END)
+            self.env._wake(then, Store.END)
         else:
-            self._getters.append(got)
-        return got
+            self._getters.append(then)
+
+    def drain(self) -> Event:
+        """Consume items until END; return the Event that fires then.
+
+        Unconsumed input tokens must be drained so that a producer blocked
+        on a full store always makes progress. The chain takes a bootstrap
+        call slot at ``now``, one slot per item and the returned Event:
+        the slots a process looping on :meth:`get` would take.
+        """
+        done = Event(self.env, "drain")
+
+        def on_item(item: Any) -> None:
+            if item is Store.END:
+                done.succeed()
+            else:
+                self.get_then(on_item)
+
+        self.env._schedule_call(lambda _arg: self.get_then(on_item))
+        return done
 
     def peek(self) -> Any:
         """The oldest buffered item without removing it (None if empty).
@@ -164,18 +226,21 @@ class Store:
         self._closed = True
         # Only wake getters if nothing remains to deliver.
         if not self._items and not self._putters:
-            while self._getters:
-                self._getters.popleft().succeed(Store.END)
+            self._end_getters()
 
     def _admit_waiting_putter(self) -> None:
         if self._putters:
-            done, item = self._putters.popleft()
+            then, item = self._putters.popleft()
             self._items.append(item)
             self.total_put += 1
-            done.succeed()
+            self.env._wake(then)
         elif self._closed and not self._items:
-            while self._getters:
-                self._getters.popleft().succeed(Store.END)
+            self._end_getters()
+
+    def _end_getters(self) -> None:
+        wake = self.env._wake
+        while self._getters:
+            wake(self._getters.popleft(), Store.END)
 
 
 class BandwidthServer:

@@ -107,27 +107,28 @@ def _store_via_processes(env: Environment, store: Store,
 
 def _store_via_call_slots(env: Environment, store: Store,
                           received: list, put_times: list) -> None:
-    """Producer and consumer as continuation callbacks, started from call
-    slots — the shape of the stream pumps in :mod:`repro.arch`."""
+    """Producer and consumer as continuations on ``put_then``/``get_then``,
+    started from call slots — the shape of the stream pumps in
+    :mod:`repro.arch`."""
     def put_next(item):
         if item == 7:
             store.close()
             return
 
-        def after_put(_event):
+        def after_put(_arg):
             put_times.append(env.now)
             put_next(item + 1)
 
-        store.put(item).add_callback(after_put)
+        store.put_then(item, after_put)
 
-    def on_item(event):
-        if event.value is Store.END:
+    def on_item(item):
+        if item is Store.END:
             return
-        received.append(event.value)
+        received.append(item)
         env._schedule_call(get_next, at=env.now + 1)
 
     def get_next(_arg=None):
-        store.get().add_callback(on_item)
+        store.get_then(on_item)
 
     env._schedule_call(put_next, 0)
     env._schedule_call(get_next, at=1)

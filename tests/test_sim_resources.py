@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.arch.noc import Noc
 from repro.sim import (
     BandwidthServer,
+    Counters,
     Environment,
     Resource,
     SimulationError,
@@ -410,3 +412,210 @@ def test_store_pop_newest_admits_waiting_putter():
     assert store.pop_newest() == "first"
     env.run()
     assert done and store.peek() == "second"
+
+
+# ------------------------------------------- call-slot forms of the waits
+
+def test_store_fifo_across_event_and_call_slot_getters():
+    """Blocked gets of both forms are served in arrival order, and each
+    wakes in the slot its put places: same-cycle wakes keep that order."""
+    env = Environment()
+    store = Store(env, capacity=2)
+    fired = []
+
+    def event_getter(tag):
+        item = yield store.get()
+        fired.append((tag, item))
+
+    def slot_getter(tag):
+        store.get_then(lambda item: fired.append((tag, item)))
+
+    env.process(event_getter("a"))
+    env._schedule_call(lambda _arg: slot_getter("b"))
+    env.process(event_getter("c"))
+    env._schedule_call(lambda _arg: slot_getter("d"))
+    env.run()
+    assert fired == []
+    for item in (1, 2, 3, 4):
+        store.put_then(item, lambda _arg: None)
+    env.run()
+    assert fired == [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
+
+
+def test_store_fifo_across_event_and_call_slot_putters():
+    """Blocked puts of both forms are admitted in arrival order as a
+    consumer frees slots; each putter wakes once its item is in."""
+    env = Environment()
+    store = Store(env, capacity=1)
+    admitted, got = [], []
+    store.put_then("x", lambda _arg: admitted.append("x"))
+
+    def event_putter(item):
+        yield store.put(item)
+        admitted.append(item)
+
+    env._schedule_call(
+        lambda _arg: store.put_then("a", lambda _a: admitted.append("a")))
+    env.process(event_putter("b"))
+    env._schedule_call(
+        lambda _arg: store.put_then("c", lambda _a: admitted.append("c")))
+    env.run()
+    assert admitted == ["x"]
+
+    def consumer():
+        for _ in range(4):
+            got.append((yield store.get()))
+            yield env.timeout(1)
+
+    env.process(consumer())
+    env.run()
+    assert got == ["x", "a", "b", "c"]
+    assert admitted == ["x", "a", "b", "c"]
+    assert store.total_put == 4
+
+
+def test_store_close_delivers_end_to_call_slot_getters_in_order():
+    env = Environment()
+    store = Store(env, capacity=2)
+    fired = []
+
+    def event_getter(tag):
+        item = yield store.get()
+        fired.append((tag, item is Store.END))
+
+    store.get_then(lambda item: fired.append(("a", item is Store.END)))
+    env.process(event_getter("b"))
+    env._schedule_call(lambda _arg: store.get_then(
+        lambda item: fired.append(("c", item is Store.END))))
+    env.run()
+    store.close()
+    env.run()
+    assert fired == [("a", True), ("b", True), ("c", True)]
+    # A get after the close is answered at once, from a call slot.
+    store.get_then(lambda item: fired.append(("d", item is Store.END)))
+    assert fired[-1][0] == "c"
+    env.run()
+    assert fired[-1] == ("d", True)
+
+
+def test_store_pop_newest_admits_call_slot_putter():
+    env = Environment()
+    store = Store(env, capacity=1)
+    admitted = []
+    store.put_then("first", lambda _arg: admitted.append(("first", env.now)))
+    store.put_then("second",
+                   lambda _arg: admitted.append(("second", env.now)))
+    env.run()
+    assert admitted == [("first", 0)] and store.level == 1
+    env._schedule_call(lambda _arg: admitted.append(
+        ("popped", store.pop_newest())), at=3)
+    env.run()
+    assert admitted == [("first", 0), ("popped", "first"), ("second", 3)]
+    assert store.peek() == "second" and store.total_put == 2
+
+
+def test_store_drain_consumes_to_end_in_process_slots():
+    """``drain`` takes a bootstrap slot, one slot per item and its
+    completion Event: the slots of a process looping on ``get``."""
+    def run(drain):
+        env = Environment()
+        store = Store(env, capacity=4)
+        for item in range(3):
+            store.put(item)
+        store.close()
+        env.run()
+        start = env.events_processed
+        done = drain(env, store)
+        env.run()
+        assert done.triggered and store.level == 0
+        return env.events_processed - start
+
+    def by_process(env, store):
+        def loop():
+            while (yield store.get()) is not Store.END:
+                pass
+        return env.process(loop())
+
+    assert run(lambda env, store: store.drain()) == run(by_process) == 6
+
+
+def test_acquire_then_and_acquire_granted_in_booking_order():
+    """Same-cycle grants of both forms fire in booking order, whether
+    granted at once or after a release."""
+    env = Environment()
+    res = Resource(env, capacity=3)
+    fired = []
+
+    def record(tag):
+        return lambda _arg: fired.append((tag, env.now))
+
+    res.acquire_then(record("a"))
+    res.acquire().add_callback(record("b"))
+    res.acquire_then(record("c"))
+    # Full: the next three queue, in booking order, for the releases.
+    res.acquire().add_callback(record("d"))
+    res.acquire_then(record("e"))
+    res.acquire().add_callback(record("f"))
+    assert res.queued == 3
+    env._schedule_call(lambda _arg: [res.release() for _ in range(3)],
+                       at=2)
+    env.run()
+    assert fired == [("a", 0), ("b", 0), ("c", 0),
+                     ("d", 2), ("e", 2), ("f", 2)]
+    assert res.in_use == 3 and res.queued == 0
+
+
+def _delivery_vs_timeouts(send):
+    """Where a NoC delivery lands among same-cycle Timeouts.
+
+    A ticker wakes at the delivery time ``T`` and then keeps waiting on
+    ``Timeout(0)``: tick *k* fires in the *k*-th fresh bucket at ``T``.
+    The delivery's fourth slot is booked by the third, which runs in the
+    first bucket at ``T``, so it fires between ticks 1 and 2 — before the
+    Timeout the ticker books after it. One slot later and it would follow
+    tick 2.
+    """
+    env = Environment()
+    noc = Noc(env, Counters(), lanes=2, link_bytes_per_cycle=16,
+              hop_latency=1, header_bytes=0, multicast_enabled=True)
+    fired = []
+    # lane0 -> lane1 is one hop: 64 B over a free 16 B/cycle link clears
+    # it at t=4, and the hop latency delivers at t=5.
+    arrival = 5
+
+    def ticker():
+        yield env.timeout(arrival)
+        for tick in range(4):
+            fired.append(("tick", tick, env.now))
+            yield env.timeout(0)
+
+    env.process(ticker())
+    send(env, noc, lambda _arg: fired.append(("delivered", env.now)))
+    env.run()
+    return fired
+
+
+def test_unicast_then_fires_before_a_later_booked_same_cycle_timeout():
+    def by_call_slot(env, noc, then):
+        noc.unicast_then("lane0", "lane1", 64, then)
+
+    def by_event(env, noc, then):
+        noc.unicast("lane0", "lane1", 64).add_callback(then)
+
+    expected = [("tick", 0, 5), ("tick", 1, 5), ("delivered", 5),
+                ("tick", 2, 5), ("tick", 3, 5)]
+    assert _delivery_vs_timeouts(by_call_slot) == expected
+    assert _delivery_vs_timeouts(by_event) == expected
+
+
+def test_unicast_then_same_node_is_one_slot_now():
+    env = Environment()
+    noc = Noc(env, Counters(), lanes=2, link_bytes_per_cycle=16,
+              hop_latency=1, header_bytes=0, multicast_enabled=True)
+    fired = []
+    noc.unicast_then("lane0", "lane0", 64, lambda _arg: fired.append(env.now))
+    assert fired == []
+    env.run()
+    assert fired == [0] and env.events_processed == 1
+    assert noc.total_bytes() == 0
+

@@ -145,16 +145,34 @@ def test_stream_out_drains_src_store():
     assert counters.get("dram.write_bytes") == 128
 
 
-def test_forward_between_lanes_bypasses_dram():
-    env, counters, noc, dram, lanes = make_system(lanes=2, chunk_bytes=64)
-    src_store = Store(env, capacity=4)
+def run_pipelined_stream(src_lane, dst_lane, chunks):
+    """Drive Delta's pipelined producer->consumer stream on a fresh
+    2-lane machine: ``_fan_out`` copies the producer compute's output
+    tokens into a channel, and ``_pull`` on ``dst_lane`` moves each chunk
+    into the consumer's input store. Returns the machine and the chunk
+    sizes the consumer received."""
+    from repro.arch.config import default_delta_config
+    from repro.core.delta import _Channel, _DeltaRun
+    from repro.core.program import Program
+    from repro.core.task import TaskType
+    from repro.machine import Machine
+
+    config = default_delta_config(lanes=2)
+    machine = Machine.build(config)
+    leaf = TaskType(name="leaf", dfg=axpy_dfg("leaf"),
+                    kernel=lambda ctx, args: None, trips=lambda args: 1)
+    run = _DeltaRun(machine, Program("p", {}, [leaf.instantiate({})]))
+    env = machine.env
+    chunk = config.lane.stream_chunk_bytes
+    out = Store(env, capacity=4)
+    channel = _Channel(Store(env, capacity=chunks + 4), (0, 1), src_lane)
     dst_store = Store(env, capacity=4)
     received = []
 
-    def producer():
-        for _ in range(3):
-            yield src_store.put(64)
-        src_store.close()
+    def compute():
+        for _ in range(chunks):
+            yield out.put(chunk // config.element_bytes)
+        out.close()
 
     def consumer():
         while True:
@@ -163,17 +181,34 @@ def test_forward_between_lanes_bypasses_dram():
                 break
             received.append(item)
 
-    def fwd():
-        yield lanes[0].streams.forward("lane1", 192, src_store, dst_store)
-
-    env.process(producer())
+    env.process(compute())
     env.process(consumer())
-    env.process(fwd())
+    fanout = run._fan_out(out, [channel], chunks * chunk)
+    pull = run._pull(machine.lanes[int(dst_lane[4:])], channel, dst_store)
     env.run()
-    assert received == [64, 64, 64]
-    assert counters.get("dram.read_bytes") == 0
-    assert counters.get("dram.write_bytes") == 0
-    assert counters.get("noc.forwarded_stream_bytes") == 192
+    assert fanout.triggered and pull.triggered
+    return machine, received
+
+
+def test_forward_between_lanes_bypasses_dram():
+    machine, received = run_pipelined_stream("lane0", "lane1", chunks=3)
+    chunk = machine.config.lane.stream_chunk_bytes
+    assert received == [chunk] * 3
+    assert machine.metrics.get("dram.read_bytes") == 0
+    assert machine.metrics.get("dram.write_bytes") == 0
+    assert machine.metrics.get("pipe.bytes") == 3 * chunk
+    # Three chunk messages hop lane0 -> lane1 over the NoC.
+    assert machine.metrics.get("noc.messages") == 3
+    assert machine.metrics.get("lane1.spad.write_bytes") == 3 * chunk
+
+
+def test_forward_same_lane_skips_noc():
+    machine, received = run_pipelined_stream("lane0", "lane0", chunks=1)
+    chunk = machine.config.lane.stream_chunk_bytes
+    assert received == [chunk]
+    assert machine.metrics.get("noc.bytes") == 0  # co-located: no hop
+    assert machine.metrics.get("pipe.bytes") == chunk
+    assert machine.metrics.get("lane0.spad.write_bytes") == chunk
 
 
 # ------------------------------------------------------------------- Lane
@@ -292,32 +327,6 @@ def test_lane_run_pipeline_emits_output_tokens():
     run_until(env, lane.run_pipeline(mapping, trips=40, out_stores=[out]))
     # chunk_elems = 64/4 = 16 -> tokens 16, 16, 8.
     assert got == [16, 16, 8]
-
-
-def test_forward_same_lane_skips_noc():
-    env, counters, noc, dram, lanes = make_system(lanes=2, chunk_bytes=64)
-    src_store = Store(env, capacity=4)
-    dst_store = Store(env, capacity=4)
-
-    def producer():
-        yield src_store.put(64)
-        src_store.close()
-
-    def consumer():
-        while True:
-            item = yield dst_store.get()
-            if item is Store.END:
-                break
-
-    def fwd():
-        yield lanes[0].streams.forward("lane0", 64, src_store, dst_store)
-
-    env.process(producer())
-    env.process(consumer())
-    env.process(fwd())
-    env.run()
-    assert counters.get("noc.bytes") == 0  # co-located: no network hop
-    assert counters.get("lane0.forward_bytes") == 64
 
 
 def test_stream_in_zero_bytes_completes_immediately():
